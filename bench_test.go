@@ -140,7 +140,8 @@ func BenchmarkTable7(b *testing.B) {
 		{"BFS-directed", func() { core.BFS(parallel.Default, in.Dir, 0) }},
 		{"SSSP", func() { core.WeightedBFS(parallel.Default, in.Sym, 0) }},
 		{"BC-directed", func() { core.BC(parallel.Default, in.Dir, 0) }},
-		{"Connectivity", func() { core.Connectivity(parallel.Default, in.Sym, 0.2, 1) }},
+		{"Connectivity", func() { core.UnionFindCC(parallel.Default, in.Sym) }},
+		{"Connectivity-LDD-contraction-ablation", func() { core.Connectivity(parallel.Default, in.Sym, 0.2, 1) }},
 		{"SCC", func() { core.SCC(parallel.Default, in.Dir, 1, core.SCCOpts{}) }},
 		{"k-core", func() { core.KCore(parallel.Default, in.Sym, 1) }},
 		{"TC", func() { core.TriangleCount(parallel.Default, in.Sym) }},

@@ -46,9 +46,9 @@ func main() {
 	// Connected components, dispatched by name through the registry — the
 	// Result carries a ready-made summary, the raw labels and the effective
 	// seed. Opts are validated against the algorithm's typed parameter
-	// schema (see `gbbs-run -describe cc`): a typo'd name or out-of-range
-	// value is an error, not a silent default.
-	res, err := eng.Run(ctx, "cc", gbbs.Request{Graph: g, Opts: map[string]any{"beta": 0.2}})
+	// schema (see `gbbs-run -describe ldd`): a typo'd name or out-of-range
+	// value is an error, not a silent default. cc declares no parameters.
+	res, err := eng.Run(ctx, "cc", gbbs.Request{Graph: g})
 	if err != nil {
 		log.Fatal(err)
 	}

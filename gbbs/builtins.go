@@ -20,8 +20,7 @@ import (
 // Every registration declares its full Param schema — the defaults are the
 // paper's settings — so Engine.Run rejects unknown or out-of-range Opts and
 // runners read values through the typed accessors (req.Int, req.Float)
-// instead of ad-hoc map probing. The shared beta parameter of the
-// LDD-derived algorithms is declared once below (paramBeta).
+// instead of ad-hoc map probing.
 
 func countReached32(dist []uint32) int {
 	c := 0
@@ -60,10 +59,10 @@ func (v statsText) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// paramBeta is the LDD ball-growth parameter shared by every algorithm
-// built on low-diameter decomposition (ldd, cc, spanforest, bicc): the
-// paper's β = 0.2 default, with the decomposition meaningful only for
-// β in (0, 1].
+// paramBeta is the ball-growth parameter of the low-diameter decomposition
+// (ldd): the paper's β = 0.2 default, with the decomposition meaningful
+// only for β in (0, 1]. cc, spanforest and bicc run on the union-find
+// kernel and take no β.
 func paramBeta() Param {
 	return FloatParam("beta", 0.2, "LDD ball-growth rate β: clusters have diameter O(log n/β), 2βm edges cut").Bounded(1e-6, 1)
 }
@@ -135,11 +134,10 @@ func init() {
 	})
 
 	register(Algorithm{
-		Name: "cc", Description: "connected-component labels via LDD contraction; O(m) expected work, O(log³ n) depth w.h.p.",
+		Name: "cc", Description: "connected-component labels (each vertex's component minimum) via concurrent union-find with min-ID linking and path halving; O(m log_{1+m/n} n) work, no polylog depth bound",
 		PaperRow: "Connectivity", PaperOrder: 6,
-		Params: []Param{paramBeta()},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		labels := core.Connectivity(s, req.Graph, req.Float("beta"), req.seed(e))
+		labels := core.UnionFindCC(s, req.Graph)
 		num, largest := core.ComponentCount(s, labels)
 		return Result{Summary: fmt.Sprintf("%d components, largest %d", num, largest), Value: labels}
 	})
@@ -165,19 +163,17 @@ func init() {
 	})
 
 	register(Algorithm{
-		Name: "spanforest", Description: "rooted spanning forest (parents, levels, roots) from connectivity's contraction tree",
-		Params: []Param{paramBeta()},
+		Name: "spanforest", Description: "rooted spanning forest (parents, levels, roots): union-find connectivity picks each component's minimum vertex as root, a multi-source BFS builds the trees; O(m log_{1+m/n} n) work",
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		parent, _, roots := core.SpanningForest(s, req.Graph, req.Float("beta"), req.seed(e))
+		parent, _, roots := core.SpanningForest(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d trees, %d forest edges", len(roots), core.ForestEdgeCount(s, parent)), Value: parent}
 	})
 
 	register(Algorithm{
-		Name: "bicc", Description: "biconnected-component labels via Tarjan-Vishkin; O(m) expected work",
+		Name: "bicc", Description: "biconnected-component labels via Tarjan-Vishkin, both connectivity passes on union-find; O(m log_{1+m/n} n) work, O(diam·log n) depth plus union-find's",
 		PaperRow: "Biconnectivity", PaperOrder: 7,
-		Params: []Param{paramBeta()},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		b := core.Biconnectivity(s, req.Graph, req.Float("beta"), req.seed(e))
+		b := core.Biconnectivity(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d biconnected components", core.NumBiccLabels(s, req.Graph, b)), Value: b}
 	})
 

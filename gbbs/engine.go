@@ -148,24 +148,28 @@ func (e *Engine) LDD(ctx context.Context, g Graph, beta float64) (labels []uint3
 	return
 }
 
-// Connectivity labels connected components of a symmetric graph; O(m)
-// expected work, O(log³ n) depth w.h.p.
+// Connectivity labels connected components with the concurrent
+// min-hooking union-find (Simsiri et al.), treating directed edges as
+// undirected. The labelling is canonical — each vertex gets the minimum
+// vertex id of its component, independent of seed and thread count — so it
+// is a valid prev for IncrementalConnectivity (and CCState.Labels).
+// O(m log_{1+m/n} n) work.
 func (e *Engine) Connectivity(ctx context.Context, g Graph) (labels []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { labels = core.Connectivity(s, g, 0.2, e.seed) })
+	err = e.exec(ctx, func(s *parallel.Scheduler) { labels = core.UnionFindCC(s, g) })
 	return
 }
 
 // SpanningForest returns a rooted spanning forest (parents, levels, roots).
 func (e *Engine) SpanningForest(ctx context.Context, g Graph) (parent, level, roots []uint32, err error) {
 	err = e.exec(ctx, func(s *parallel.Scheduler) {
-		parent, level, roots = core.SpanningForest(s, g, 0.2, e.seed)
+		parent, level, roots = core.SpanningForest(s, g)
 	})
 	return
 }
 
 // Biconnectivity computes the Tarjan-Vishkin biconnectivity query structure.
 func (e *Engine) Biconnectivity(ctx context.Context, g Graph) (b *Bicc, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { b = core.Biconnectivity(s, g, 0.2, e.seed) })
+	err = e.exec(ctx, func(s *parallel.Scheduler) { b = core.Biconnectivity(s, g) })
 	return
 }
 

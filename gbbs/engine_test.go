@@ -3,6 +3,7 @@ package gbbs
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -140,6 +141,39 @@ func TestEngineDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	_ = g
+}
+
+// TestConnectivityCanonicalAcrossSeedsAndThreads checks that cc and bicc
+// labels are canonical: byte-identical whatever the engine's seed and
+// thread count.
+func TestConnectivityCanonicalAcrossSeedsAndThreads(t *testing.T) {
+	g := testGraphOnce()
+	ctx := context.Background()
+	var wantCC, wantBicc []uint32
+	for _, seed := range []uint64{1, 3, 99} {
+		for _, p := range []int{1, 2, 4} {
+			e := New(WithThreads(p), WithSeed(seed))
+			cc, err := e.Connectivity(ctx, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := e.Biconnectivity(ctx, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			if wantCC == nil {
+				wantCC, wantBicc = cc, b.Labels
+				continue
+			}
+			if !slices.Equal(cc, wantCC) {
+				t.Fatalf("seed %d, %d threads: cc labels differ", seed, p)
+			}
+			if !slices.Equal(b.Labels, wantBicc) {
+				t.Fatalf("seed %d, %d threads: bicc labels differ", seed, p)
+			}
+		}
+	}
 }
 
 // TestEngineRunDispatch exercises registry dispatch end to end.

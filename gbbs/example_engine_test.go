@@ -78,14 +78,14 @@ func ExampleRequest_Key() {
 // values are descriptive errors, and valid maps come back normalized with
 // defaults applied.
 func ExampleAlgorithm_ResolveOpts() {
-	cc, _ := gbbs.Lookup("cc")
-	if _, err := cc.ResolveOpts(map[string]any{"betta": 0.4}); err != nil {
+	ldd, _ := gbbs.Lookup("ldd")
+	if _, err := ldd.ResolveOpts(map[string]any{"betta": 0.4}); err != nil {
 		fmt.Println(err)
 	}
-	params, _ := cc.ResolveOpts(map[string]any{"beta": 0.4})
+	params, _ := ldd.ResolveOpts(map[string]any{"beta": 0.4})
 	fmt.Println(params["beta"])
 	// Output:
-	// gbbs: cc: unknown parameter "betta" (valid: beta)
+	// gbbs: ldd: unknown parameter "betta" (valid: beta)
 	// 0.4
 }
 

@@ -265,20 +265,22 @@ func LDD(g Graph, beta float64, seed uint64) []uint32 {
 	return core.LDD(parallel.Default, g, beta, seed)
 }
 
-// Connectivity labels connected components of a symmetric graph; O(m)
-// expected work, O(log³ n) depth w.h.p.
+// Connectivity labels connected components with each component's minimum
+// vertex id. seed is ignored: the labelling is canonical.
 func Connectivity(g Graph, seed uint64) []uint32 {
-	return core.Connectivity(parallel.Default, g, 0.2, seed)
+	return core.UnionFindCC(parallel.Default, g)
 }
 
 // SpanningForest returns a rooted spanning forest (parents, levels, roots).
+// seed is ignored: the roots are each component's minimum vertex.
 func SpanningForest(g Graph, seed uint64) (parent, level, roots []uint32) {
-	return core.SpanningForest(parallel.Default, g, 0.2, seed)
+	return core.SpanningForest(parallel.Default, g)
 }
 
-// Biconnectivity computes the Tarjan-Vishkin biconnectivity query structure.
+// Biconnectivity computes the Tarjan-Vishkin biconnectivity query
+// structure. seed is ignored: the labels are canonical.
 func Biconnectivity(g Graph, seed uint64) *Bicc {
-	return core.Biconnectivity(parallel.Default, g, 0.2, seed)
+	return core.Biconnectivity(parallel.Default, g)
 }
 
 // SCC labels strongly connected components of a directed graph.

@@ -42,7 +42,7 @@ func TestAllBuiltinsDeclareSchemas(t *testing.T) {
 		}
 	}
 	wantParams := map[string][]string{
-		"ldd": {"beta"}, "cc": {"beta"}, "spanforest": {"beta"}, "bicc": {"beta"},
+		"ldd": {"beta"}, "cc": {}, "spanforest": {}, "bicc": {},
 		"scc": {"beta", "trimrounds"}, "deltastepping": {"delta"}, "setcover": {"eps"},
 		"bfs": {}, "tc": {}, "kcore": {},
 	}
@@ -62,6 +62,7 @@ func TestAllBuiltinsDeclareSchemas(t *testing.T) {
 // mismatches, fractional ints, and bounds.
 func TestResolveOptsValidation(t *testing.T) {
 	cc := lookupT(t, "cc")
+	ldd := lookupT(t, "ldd")
 	scc := lookupT(t, "scc")
 	cases := []struct {
 		algo Algorithm
@@ -69,9 +70,10 @@ func TestResolveOptsValidation(t *testing.T) {
 		want string
 	}{
 		{cc, map[string]any{"bogus": 1}, "unknown parameter"},
-		{cc, map[string]any{"beta": "0.2"}, "wants float"},
-		{cc, map[string]any{"beta": 0.0}, "below minimum"},
-		{cc, map[string]any{"beta": 2.0}, "above maximum"},
+		{cc, map[string]any{"beta": 0.2}, "unknown parameter"},
+		{ldd, map[string]any{"beta": "0.2"}, "wants float"},
+		{ldd, map[string]any{"beta": 0.0}, "below minimum"},
+		{ldd, map[string]any{"beta": 2.0}, "above maximum"},
 		{scc, map[string]any{"trimrounds": 1.5}, "wants an integer"},
 		{scc, map[string]any{"trimrounds": -2}, "below minimum"},
 		{scc, map[string]any{"beta": true}, "wants float"},
@@ -130,7 +132,7 @@ func TestResolveOptsJSONEquivalence(t *testing.T) {
 // applied, params sorted, spec spellings canonicalized, seed resolved, and
 // the source vertex folded only for algorithms that read one.
 func TestRequestKey(t *testing.T) {
-	cc := lookupT(t, "cc")
+	ldd := lookupT(t, "ldd")
 	bfs := lookupT(t, "bfs")
 	srcA, err := ParseSource("rmat:11")
 	if err != nil {
@@ -145,23 +147,23 @@ func TestRequestKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}}.Key(cc)
+	base, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}}.Key(ldd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spelled, err := Request{Input: &InputSpec{Source: srcB, Transforms: tfs}, Opts: map[string]any{"beta": 0.2}, Seed: Ptr(DefaultSeed)}.Key(cc)
+	spelled, err := Request{Input: &InputSpec{Source: srcB, Transforms: tfs}, Opts: map[string]any{"beta": 0.2}, Seed: Ptr(DefaultSeed)}.Key(ldd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base != spelled {
 		t.Fatalf("equivalent requests fingerprint differently:\n%s\nvs\n%s", base, spelled)
 	}
-	if !strings.Contains(base, "seed=1") || !strings.Contains(base, "beta=0.2") || !strings.HasPrefix(base, "cc|") {
+	if !strings.Contains(base, "seed=1") || !strings.Contains(base, "beta=0.2") || !strings.HasPrefix(base, "ldd|") {
 		t.Fatalf("fingerprint missing canonical pieces: %s", base)
 	}
 
-	// cc ignores Request.Source, so it must not split the cache.
-	withSrc, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}, Source: 7}.Key(cc)
+	// ldd ignores Request.Source, so it must not split the cache.
+	withSrc, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}, Source: 7}.Key(ldd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestRequestKey(t *testing.T) {
 	}
 
 	// Different seeds are different results.
-	seeded, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}, Seed: Ptr(uint64(0))}.Key(cc)
+	seeded, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}, Seed: Ptr(uint64(0))}.Key(ldd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +193,11 @@ func TestRequestKey(t *testing.T) {
 	}
 
 	// No declarative input: not fingerprintable.
-	if _, err := (Request{Graph: RMATGraph(4, 4, true, false, 1)}).Key(cc); err == nil {
+	if _, err := (Request{Graph: RMATGraph(4, 4, true, false, 1)}).Key(ldd); err == nil {
 		t.Fatal("Key accepted a direct Graph")
 	}
 	// Bad opts: same rejection Engine.Run gives.
-	if _, err := (Request{Input: &InputSpec{Source: srcA}, Opts: map[string]any{"beta": -1.0}}).Key(cc); err == nil {
+	if _, err := (Request{Input: &InputSpec{Source: srcA}, Opts: map[string]any{"beta": -1.0}}).Key(ldd); err == nil {
 		t.Fatal("Key accepted out-of-range opts")
 	}
 }
@@ -211,17 +213,20 @@ func TestEngineRunValidatesOpts(t *testing.T) {
 		!strings.Contains(err.Error(), `unknown parameter "bogus"`) {
 		t.Fatalf("unknown param err = %v", err)
 	}
-	if _, err := e.Run(ctx, "cc", Request{Graph: g, Opts: map[string]any{"beta": 7.0}}); err == nil ||
+	if _, err := e.Run(ctx, "ldd", Request{Graph: g, Opts: map[string]any{"beta": 7.0}}); err == nil ||
 		!strings.Contains(err.Error(), "above maximum") {
 		t.Fatalf("out-of-range err = %v", err)
 	}
 	// Valid opts still run, JSON-typed or Go-typed alike, and produce the
-	// same deterministic labels.
-	a, err := e.Run(ctx, "cc", Request{Graph: g, Opts: map[string]any{"beta": 0.3}})
+	// same labels. LDD breaks ties between racing workers arbitrarily, so
+	// the comparison runs on one thread.
+	seq := New(WithThreads(1))
+	defer seq.Close()
+	a, err := seq.Run(ctx, "ldd", Request{Graph: g, Opts: map[string]any{"beta": 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Run(ctx, "cc", Request{Graph: g, Opts: map[string]any{"beta": float64(0.3)}})
+	b, err := seq.Run(ctx, "ldd", Request{Graph: g, Opts: map[string]any{"beta": float64(0.3)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,10 +117,13 @@ func (c *Cache) runBuild(e *cacheEntry, build func(ctx context.Context) (gbbs.Gr
 	if g != nil {
 		e.bytes = approxGraphBytes(g)
 	}
-	close(e.ready)
 
+	// Publish and account in one critical section: an entry that reads as
+	// done always has its bytes counted, so Clear, Invalidate and eviction
+	// never subtract bytes that were not added.
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	close(e.ready)
 	if c.entries[e.key] != e {
 		// This entry was removed while building (Clear), and the key may
 		// since have been re-inserted by a newer request: account nothing,

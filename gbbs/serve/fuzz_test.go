@@ -43,7 +43,7 @@ func FuzzRunRequestDecode(f *testing.F) {
 		`{"algorithm":"cc","source":"rmat:8","unknown_field":1}`,
 		`{"algorithm":"cc","source":"rmat:8","threads":-1}`,
 		`{"algorithm":"cc","source":"rmat:8","timeout_ms":-5}`,
-		`{"algorithm":"cc","source":"rmat:8","opts":{"beta":1e308}}`,
+		`{"algorithm":"ldd","source":"rmat:8","opts":{"beta":1e308}}`,
 		`not json`,
 		`[]`,
 		`null`,

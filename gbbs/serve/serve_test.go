@@ -236,7 +236,8 @@ func TestRunBadParams(t *testing.T) {
 	}{
 		{`{"source":"rmat:10","transforms":["sym"],"algorithm":"cc","opts":{"bogus":1}}`, "unknown parameter"},
 		{`{"source":"rmat:10","transforms":["sym"],"algorithm":"bfs","opts":{"beta":0.2}}`, "unknown parameter"},
-		{`{"source":"rmat:10","transforms":["sym"],"algorithm":"cc","opts":{"beta":-0.5}}`, "below minimum"},
+		{`{"source":"rmat:10","transforms":["sym"],"algorithm":"cc","opts":{"beta":0.2}}`, "unknown parameter"},
+		{`{"source":"rmat:10","transforms":["sym"],"algorithm":"ldd","opts":{"beta":-0.5}}`, "below minimum"},
 		{`{"source":"rmat:10","transforms":["sym"],"algorithm":"setcover","opts":{"eps":2.5}}`, "above maximum"},
 		{`{"source":"rmat:10","algorithm":"scc","opts":{"trimrounds":1.5}}`, "wants an integer"},
 		{`{"source":"rmat:10","algorithm":"scc","opts":{"beta":true}}`, "wants float"},
@@ -264,9 +265,9 @@ func TestRunBadParams(t *testing.T) {
 func TestFingerprintNormalization(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{MaxThreads: 4})
 	equivalent := []string{
-		`{"source":"rmat:11","transforms":["symmetrize"],"algorithm":"cc"}`,
-		`{"source":"rmat:scale=11","transforms":["sym"],"algorithm":"cc","opts":{"beta":0.2}}`, // default spelled out
-		`{"source":"rmat:scale=11,factor=16,seed=1","transforms":["sym"],"algorithm":"cc","seed":1}`,
+		`{"source":"rmat:11","transforms":["symmetrize"],"algorithm":"ldd"}`,
+		`{"source":"rmat:scale=11","transforms":["sym"],"algorithm":"ldd","opts":{"beta":0.2}}`, // default spelled out
+		`{"source":"rmat:scale=11,factor=16,seed=1","transforms":["sym"],"algorithm":"ldd","seed":1}`,
 	}
 	var key string
 	for i, body := range equivalent {
@@ -285,10 +286,10 @@ func TestFingerprintNormalization(t *testing.T) {
 			t.Fatalf("spelling %d: key %q (want %q), result_cache %q (want hit)", i, resp.Key, key, resp.ResultCache)
 		}
 	}
-	// A different beta is a different deterministic result: same graph
-	// (cache hit), fresh execution.
+	// A different beta is a different result: same graph (cache hit),
+	// fresh execution.
 	var resp serve.RunResponse
-	if status := postRun(t, ts, `{"source":"rmat:11","transforms":["sym"],"algorithm":"cc","opts":{"beta":0.5}}`, &resp); status != http.StatusOK {
+	if status := postRun(t, ts, `{"source":"rmat:11","transforms":["sym"],"algorithm":"ldd","opts":{"beta":0.5}}`, &resp); status != http.StatusOK {
 		t.Fatalf("beta=0.5 status = %d", status)
 	}
 	if resp.Key == key || resp.ResultCache != "miss" || resp.Cache != "hit" {

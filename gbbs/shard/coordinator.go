@@ -245,12 +245,10 @@ func MergeableAlgorithms() []string {
 // default, recorded in Result.Seed).
 //
 // Merged results relate to the single-engine run as follows: bfs and tc are
-// byte-identical; incrcc is byte-identical (the canonical minimum-label
-// form); cc returns that same canonical labelling, which is
-// partition-equivalent to — and summarized identically with — the
-// single-engine LDD labelling but not byte-equal to it; spanforest returns
-// a valid rooted spanning forest with the byte-identical summary; mm
-// returns a valid maximal matching whose size may depend on the partition.
+// byte-identical; cc and incrcc are byte-identical (the canonical
+// minimum-label form); spanforest returns a valid rooted spanning forest
+// with the byte-identical summary; mm returns a valid maximal matching
+// whose size may depend on the partition.
 // Every merged result is deterministic in (graph, partition, seed, params),
 // independent of thread count.
 func (c *Coordinator) Run(ctx context.Context, name string, req gbbs.Request) (gbbs.Result, *Report, error) {

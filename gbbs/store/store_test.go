@@ -135,7 +135,7 @@ func TestStoreCCStateRoundTrip(t *testing.T) {
 	if st.CCState("g", 1) != nil {
 		t.Fatal("state before any save")
 	}
-	labels1, err := e.UnionFindConnectivity(ctx, g)
+	labels1, err := e.Connectivity(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestStoreCCStateRoundTrip(t *testing.T) {
 	}
 	// A newer save trims the log; stale saves are ignored.
 	snap, _ := st.Get("g")
-	labels3, err := e.UnionFindConnectivity(ctx, snap.Graph)
+	labels3, err := e.Connectivity(ctx, snap.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestStoreLogOverflowDropsState(t *testing.T) {
 	if _, err := st.Create("g", g, "grid:8"); err != nil {
 		t.Fatal(err)
 	}
-	labels, err := e.UnionFindConnectivity(ctx, g)
+	labels, err := e.Connectivity(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestStoreLogOverflowDropsState(t *testing.T) {
 	// And the incremental chain cannot silently resume from the stale
 	// labelling: a save for the current version re-seeds it.
 	snap, _ := st.Get("g")
-	labels3, err := e.UnionFindConnectivity(ctx, snap.Graph)
+	labels3, err := e.Connectivity(ctx, snap.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestStoreConcurrentApplyAndRead(t *testing.T) {
 				}
 				// Run connectivity on whatever version we got; the
 				// snapshot must stay coherent while updates land.
-				if _, err := e.UnionFindConnectivity(ctx, snap.Graph); err != nil {
+				if _, err := e.Connectivity(ctx, snap.Graph); err != nil {
 					t.Error(err)
 					return
 				}

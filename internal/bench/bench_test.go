@@ -105,7 +105,7 @@ func TestTable7Output(t *testing.T) {
 	var buf bytes.Buffer
 	Table7(&buf, tinyConfig())
 	out := buf.String()
-	for _, want := range []string{"FlashGraph", "Mosaic", "Stergiou", "This repro", "GBBS (paper)"} {
+	for _, want := range []string{"FlashGraph", "Mosaic", "Stergiou", "This repro", "GBBS (paper)", "Connectivity (LDD contraction, ablation)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table 7 missing %q", want)
 		}

@@ -43,7 +43,7 @@ func MeasureIncremental(scale, batchEdges, threads int, seed uint64) Incremental
 		panic(fmt.Sprintf("bench: building incremental input: %v", err))
 	}
 
-	prev, err := eng.UnionFindConnectivity(ctx, g)
+	prev, err := eng.Connectivity(ctx, g)
 	if err != nil {
 		panic(fmt.Sprintf("bench: seeding labelling: %v", err))
 	}
@@ -59,7 +59,7 @@ func MeasureIncremental(scale, batchEdges, threads int, seed uint64) Incremental
 	}
 
 	start := time.Now()
-	static, err := eng.UnionFindConnectivity(ctx, updated)
+	static, err := eng.Connectivity(ctx, updated)
 	staticDur := time.Since(start)
 	if err != nil {
 		panic(fmt.Sprintf("bench: static connectivity: %v", err))

@@ -17,9 +17,9 @@ type Bicc struct {
 	Parent []uint32
 	// Level is the BFS level of each vertex in the forest.
 	Level []uint32
-	// Labels is the connectivity labelling of G with critical edges
-	// removed; tree edges take the label of the endpoint farther from the
-	// root.
+	// Labels maps each vertex to the minimum vertex of its component in G
+	// with critical edges removed; tree edges take the label of the
+	// endpoint farther from the root.
 	Labels []uint32
 }
 
@@ -39,19 +39,25 @@ func (b *Bicc) EdgeLabel(u, v uint32) uint32 {
 	}
 }
 
-// Biconnectivity implements the Tarjan-Vishkin algorithm (Algorithm 7) in
-// O(m) expected work and O(max(diam(G) log n, log³ n)) depth w.h.p. on the
-// FA-MT-RAM: connectivity picks one root per component; a BFS forest is
-// built from the roots; leaffix and rootfix sweeps over the forest compute
-// preorder numbers, subtree sizes, and the Low/High extrema of preorder
-// numbers reachable through non-tree edges; tree edges to articulation
-// points ("critical edges") are removed and a final connectivity call
-// produces the per-vertex labels of the query structure.
+// Biconnectivity implements the Tarjan-Vishkin algorithm (Algorithm 7):
+// connectivity picks one root per component; a BFS forest is built from
+// the roots; leaffix and rootfix sweeps over the forest compute preorder
+// numbers, subtree sizes, and the Low/High extrema of preorder numbers
+// reachable through non-tree edges; tree edges to articulation points
+// ("critical edges") are removed and a final connectivity pass, which
+// skips those edges in place rather than building G minus them, produces
+// the per-vertex labels of the query structure. Both connectivity passes
+// are the union-find kernel (UnionFindCC), so the work is that kernel's
+// O(m log_{1+m/n} n) plus O(m) for the sweeps, and the depth is
+// O(diam(G) log n) for the BFS and sweeps plus the kernel's (see
+// UnionFindCC; the paper's LDD-based bound is O(max(diam(G) log n, log³ n))).
+// Labels are minimum-vertex labels, so they do not depend on the thread
+// count.
 //
 // g must be symmetric.
-func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint64) *Bicc {
+func Biconnectivity(s *parallel.Scheduler, g graph.Graph) *Bicc {
 	n := g.N()
-	parent, level, roots := SpanningForest(s, g, beta, seed)
+	parent, level, roots := SpanningForest(s, g)
 
 	// Children adjacency of the BFS forest, CSR-shaped, ordered by (parent,
 	// child) for deterministic preorder numbers.
@@ -79,17 +85,11 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 
 	// Group vertices by BFS level for the leaffix/rootfix sweeps.
 	levelKeys := make([]uint64, n)
-	maxLevel := uint32(0)
 	s.ForRange(n, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			levelKeys[v] = uint64(level[v])<<32 | uint64(uint32(v))
 		}
 	})
-	for v := 0; v < n; v++ {
-		if level[v] != Inf && level[v] > maxLevel {
-			maxLevel = level[v]
-		}
-	}
 	prims.RadixSortU64(s, levelKeys, 64)
 	levelStarts := prims.PackIndex(s, n, func(i int) bool {
 		return i == 0 || levelKeys[i]>>32 != levelKeys[i-1]>>32
@@ -194,26 +194,7 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 
 	// Connectivity of G with critical edges removed yields the per-vertex
 	// labels of the query structure.
-	filtered := graph.FromAdjacency(s, n, true,
-		func(v uint32) int {
-			d := 0
-			g.OutNgh(v, func(u uint32, _ int32) bool {
-				if !isCritical(critical, parent, v, u) {
-					d++
-				}
-				return true
-			})
-			return d
-		},
-		func(v uint32, add func(u uint32, w int32)) {
-			g.OutNgh(v, func(u uint32, w int32) bool {
-				if !isCritical(critical, parent, v, u) {
-					add(u, w)
-				}
-				return true
-			})
-		})
-	labels := Connectivity(s, filtered, beta, seed^0x5ca1ab1e)
+	labels := unionFind(s, g, func(v, u uint32) bool { return !isCritical(critical, parent, v, u) })
 	return &Bicc{Parent: parent, Level: level, Labels: labels}
 }
 

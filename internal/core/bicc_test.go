@@ -54,7 +54,7 @@ func TestBiconnectivityMatchesHopcroftTarjan(t *testing.T) {
 			continue
 		}
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, 13))
+		got := biccEdgePartition(g, Biconnectivity(parallel.Default, g))
 		if !samePartitionMaps(want, got) {
 			t.Fatalf("%s: biconnectivity edge partition mismatch", name)
 		}
@@ -87,7 +87,7 @@ func TestBiconnectivityKnownShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		g := graph.FromEdgeList(parallel.Default, c.el.N, c.el, graph.BuildOptions{Symmetrize: true})
-		b := Biconnectivity(parallel.Default, g, 0.2, 3)
+		b := Biconnectivity(parallel.Default, g)
 		if got := NumBiccLabels(parallel.Default, g, b); got != c.want {
 			t.Fatalf("%s: %d BCCs want %d", c.name, got, c.want)
 		}
@@ -102,7 +102,7 @@ func TestBiconnectivityRandomGraphsProperty(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := gen.BuildErdosRenyi(parallel.Default, 150, 300, true, false, 2000+seed)
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, seed))
+		got := biccEdgePartition(g, Biconnectivity(parallel.Default, g))
 		if !samePartitionMaps(want, got) {
 			t.Fatalf("seed %d: biconnectivity mismatch", seed)
 		}
@@ -111,7 +111,7 @@ func TestBiconnectivityRandomGraphsProperty(t *testing.T) {
 
 func TestNumBiccLabelsCountsDistinct(t *testing.T) {
 	g := graph.FromEdgeList(parallel.Default, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
-	b := Biconnectivity(parallel.Default, g, 0.2, 1)
+	b := Biconnectivity(parallel.Default, g)
 	if got := NumBiccLabels(parallel.Default, g, b); got != 3 {
 		t.Fatalf("path4 has %d BCCs want 3", got)
 	}

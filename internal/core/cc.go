@@ -14,6 +14,12 @@ import (
 // depth w.h.p. on the TS-MT-RAM. The result maps each vertex to a component
 // label in [0, n); two vertices get equal labels iff they are connected.
 //
+// This is the paper's algorithm, kept as an ablation: cc, SpanningForest
+// and Biconnectivity run on the union-find kernel (UnionFindCC), which was
+// 3.5–8x faster on every input and thread count measured. The connectivity
+// β sweep in ablation_test.go and the "Connectivity (LDD contraction,
+// ablation)" row of the bench tables measure the gap.
+//
 // g must be symmetric. beta in (0, 1); the paper fixes β = 0.2.
 func Connectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint64) []uint32 {
 	n := g.N()

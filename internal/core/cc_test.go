@@ -97,7 +97,7 @@ func TestComponentCount(t *testing.T) {
 
 func TestSpanningForestProperties(t *testing.T) {
 	for name, g := range symGraphs() {
-		parent, level, roots := SpanningForest(parallel.Default, g, 0.2, 9)
+		parent, level, roots := SpanningForest(parallel.Default, g)
 		cc := seqref.Components(g)
 		// One root per component.
 		comps := map[uint32]bool{}

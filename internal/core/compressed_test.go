@@ -59,8 +59,8 @@ func TestAlgorithmsAgreeOnCompressedSymmetric(t *testing.T) {
 	if a, b := ApproxSetCover(parallel.Default, csr, 0.01, 3), ApproxSetCover(parallel.Default, cg, 0.01, 3); len(a) != len(b) {
 		t.Fatalf("set cover differs on compressed: %d vs %d sets", len(a), len(b))
 	}
-	ab := Biconnectivity(parallel.Default, csr, 0.2, 11)
-	bb := Biconnectivity(parallel.Default, cg, 0.2, 11)
+	ab := Biconnectivity(parallel.Default, csr)
+	bb := Biconnectivity(parallel.Default, cg)
 	if NumBiccLabels(parallel.Default, csr, ab) != NumBiccLabels(parallel.Default, cg, bb) {
 		t.Fatal("biconnectivity differs on compressed")
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/parallel"
@@ -101,13 +103,22 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestBiconnectivityDeterministicAcrossWorkers requires byte-identical
+// Labels at every thread count: they are minimum-vertex labels of G minus
+// its critical edges, and the critical edges cut out the same vertex sets
+// whichever BFS forest the race between workers picks.
 func TestBiconnectivityDeterministicAcrossWorkers(t *testing.T) {
-	g := symGraphs()["er"]
-	var base map[uint64]uint32
-	withWorkers(t, 1, func() { base = biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, 5)) })
-	var par map[uint64]uint32
-	withWorkers(t, 0, func() { par = biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, 5)) })
-	if !samePartitionMaps(base, par) {
-		t.Fatal("biconnectivity partition depends on worker count")
+	for _, name := range []string{"er", "rmat", "torus", "tree"} {
+		g := symGraphs()[name]
+		base := Biconnectivity(parallel.New(1), g)
+		for _, p := range []int{2, 4, runtime.NumCPU()} {
+			got := Biconnectivity(parallel.New(p), g)
+			if !slices.Equal(got.Labels, base.Labels) {
+				t.Fatalf("%s: biconnectivity labels at %d threads differ from 1-thread labels", name, p)
+			}
+			if !samePartitionMaps(biccEdgePartition(g, base), biccEdgePartition(g, got)) {
+				t.Fatalf("%s: biconnectivity edge partition at %d threads differs", name, p)
+			}
+		}
 	}
 }

@@ -12,21 +12,23 @@ import (
 // "Work-Efficient Parallel Union-Find with Applications to Incremental
 // Graph Connectivity") whose output is deterministic at any thread count.
 //
-// Determinism argument. Every parent write is a WriteMin32: hooks write
-// min(ru, rv) into parent[max(ru, rv)], and path halving writes a vertex's
-// grandparent, which is never larger than its current parent. So parent
-// values only decrease, every intermediate forest respects parent[v] <= v,
-// and the minimum vertex m of a component never has parent[m] written (any
-// hook targets the larger of two roots, and every root in m's component is
-// >= m). After all unions complete, flattening therefore labels each vertex
-// with its component's minimum vertex id — a canonical value independent of
-// how the concurrent hooks interleaved. Monotone decrease also bounds the
-// retry loops: each failed hook means another thread already wrote a
-// smaller parent, so total work is finite.
+// Determinism argument. A hook is a compare-and-swap of parent[hi] from hi
+// to lo, where hi = max(ru, rv) and lo = min(ru, rv) are two roots: it
+// succeeds only while hi is still a root, so no link is ever overwritten
+// and no union is lost. Path halving writes a non-root vertex's
+// grandparent with WriteMin32, which is never larger than its current
+// parent. So parent values only decrease, every intermediate forest
+// respects parent[v] <= v, and the minimum vertex m of a component never
+// has parent[m] written (any hook targets the larger of two roots, and
+// every root in m's component is >= m). After all unions complete,
+// flattening therefore labels each vertex with its component's minimum
+// vertex id — a canonical value independent of how the concurrent hooks
+// interleaved. A failed hook means another thread hooked hi first, which
+// happens at most once per vertex, so the retry loops are bounded.
 
 // ufFind returns the root of x's tree, halving the path as it walks: each
 // visited vertex is pointed at its grandparent (via WriteMin32, so a
-// concurrent smaller hook is never overwritten).
+// concurrent halving to a farther ancestor is never undone).
 func ufFind(parent []uint32, x uint32) uint32 {
 	for {
 		p := atomics.Load32(&parent[x])
@@ -49,11 +51,12 @@ func ufUnite(parent []uint32, u, v uint32) {
 			return
 		}
 		lo, hi := min(ru, rv), max(ru, rv)
-		if atomics.WriteMin32(&parent[hi], lo) {
+		if atomics.CAS32(&parent[hi], hi, lo) {
 			return
 		}
-		// Lost the race: parent[hi] already points somewhere smaller, so
-		// hi's component grew under us. Re-find and retry.
+		// Lost the race: hi was hooked under another root after we found
+		// it. Overwriting that link would drop its union, so re-find and
+		// retry.
 	}
 }
 
@@ -81,10 +84,21 @@ func ufFlatten(s *parallel.Scheduler, parent []uint32) {
 // above, labelling every vertex with the minimum vertex id of its component
 // (so the labelling is canonical: independent of thread count and
 // scheduling, and stable under edge insertions that do not merge
-// components). Directed edges are treated as undirected. Unlike the
-// LDD-based Connectivity it needs no randomness and its output forest is a
-// valid starting state for IncrementalCC.
+// components). Directed edges are treated as undirected. It is the
+// connectivity kernel behind cc, SpanningForest and Biconnectivity. Linking
+// by minimum ID with path halving does O(m log_{1+m/n} n) work
+// sequentially (Tarjan-van Leeuwen; no union by rank, so not α(n)), plus
+// retries when concurrent hooks race; unlike the LDD-based Connectivity it
+// has no polylogarithmic depth bound. It needs no randomness, and its
+// output is a valid starting state for IncrementalCC.
 func UnionFindCC(s *parallel.Scheduler, g graph.Graph) []uint32 {
+	return unionFind(s, g, nil)
+}
+
+// unionFind is UnionFindCC restricted to the edges (v, u) with keep(v, u)
+// true; a nil keep keeps every edge. On a symmetric graph keep is asked
+// about one direction of each edge only, so it must be symmetric.
+func unionFind(s *parallel.Scheduler, g graph.Graph, keep func(v, u uint32) bool) []uint32 {
 	n := g.N()
 	parent := make([]uint32, n)
 	s.ForRange(n, 0, func(lo, hi int) {
@@ -97,7 +111,7 @@ func UnionFindCC(s *parallel.Scheduler, g graph.Graph) []uint32 {
 	s.For(n, 32, func(v int) {
 		g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
 			// A symmetric graph stores both directions; uniting one suffices.
-			if !sym || u > uint32(v) {
+			if (!sym || u > uint32(v)) && (keep == nil || keep(uint32(v), u)) {
 				ufUnite(parent, uint32(v), u)
 			}
 			return true

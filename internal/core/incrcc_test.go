@@ -66,6 +66,43 @@ func TestUnionFindCCDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
+// TestUnionFindFilterMatchesFilteredGraph checks the in-place edge filter:
+// unionFind with a random symmetric keep must give byte-for-byte the labels
+// UnionFindCC gives on an explicitly built copy of the graph holding only
+// the kept edges, at every thread count.
+func TestUnionFindFilterMatchesFilteredGraph(t *testing.T) {
+	for name, g := range symGraphs() {
+		for _, seed := range []uint64{1, 2} {
+			keep := func(v, u uint32) bool { return xrand.Hash64(seed, seqref.EdgeKey(v, u))%3 != 0 }
+			filtered := graph.FromAdjacency(parallel.Default, g.N(), true,
+				func(v uint32) int {
+					d := 0
+					g.OutNgh(v, func(u uint32, _ int32) bool {
+						if keep(v, u) {
+							d++
+						}
+						return true
+					})
+					return d
+				},
+				func(v uint32, add func(u uint32, w int32)) {
+					g.OutNgh(v, func(u uint32, w int32) bool {
+						if keep(v, u) {
+							add(u, w)
+						}
+						return true
+					})
+				})
+			want := UnionFindCC(parallel.New(1), filtered)
+			for _, p := range []int{1, 4, runtime.NumCPU()} {
+				if got := unionFind(parallel.New(p), g, keep); !slices.Equal(got, want) {
+					t.Fatalf("%s seed %d: filtered union-find at %d threads differs from union-find on the filtered graph", name, seed, p)
+				}
+			}
+		}
+	}
+}
+
 // incrBatch builds a deterministic batch of random edges over n vertices.
 func incrBatch(seed uint64, n, m int) *graph.EdgeList {
 	el := graph.NewEdgeList(n, m, false)

@@ -58,7 +58,7 @@ func TestBFSTreeIsValid(t *testing.T) {
 
 func TestMultiBFSCoversAllComponents(t *testing.T) {
 	g := symGraphs()["sparse-islands"]
-	_, _, roots := SpanningForest(parallel.Default, g, 0.2, 1)
+	_, _, roots := SpanningForest(parallel.Default, g)
 	dist, parent := MultiBFS(parallel.Default, g, roots)
 	for v := range dist {
 		if dist[v] == Inf || parent[v] == Inf {
