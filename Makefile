@@ -20,11 +20,11 @@ race:
 	$(GO) test -race ./...
 
 # Double-run the race-prone packages (server concurrency: limiter fairness,
-# async jobs, singleflight caches; scheduler internals; the shard
-# coordinator's parallel scatter-gather) under the race detector — -count=2
-# shakes out ordering-dependent races a single pass can miss.
+# async jobs, singleflight caches; scheduler internals) under the race
+# detector — -count=2 shakes out ordering-dependent races a single pass can
+# miss.
 race-serve:
-	$(GO) test -race -count=2 ./gbbs/serve/... ./gbbs/shard/... ./internal/parallel/...
+	$(GO) test -race -count=2 ./gbbs/serve/... ./internal/parallel/...
 
 # Fault-injected durability suite under the race detector: the crash-recovery
 # property test (every filesystem op is a crash point), degraded-mode
@@ -39,7 +39,6 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./gbbs -fuzz '^FuzzParseSource$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs -fuzz '^FuzzParseTransforms$$' -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./gbbs -fuzz '^FuzzParsePartition$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/serve -fuzz '^FuzzRunRequestDecode$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
 

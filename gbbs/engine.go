@@ -100,15 +100,6 @@ func (e *Engine) exec(ctx context.Context, f func(s *parallel.Scheduler)) (err e
 	return nil
 }
 
-// Exec runs f on the engine's scheduler under ctx, giving external
-// subsystems (the shard coordinator, custom drivers) the same engine-scoped
-// parallelism the built-in algorithms use: f's Builder parallelizes on this
-// engine's thread budget, observes ctx through Builder.Poll and the parallel
-// loops, and a cancellation unwinds back into the returned ctx.Err().
-func (e *Engine) Exec(ctx context.Context, f func(b *Builder)) error {
-	return e.exec(ctx, func(s *parallel.Scheduler) { f(&Builder{s: s}) })
-}
-
 // BFS returns hop distances from src; O(m) work, O(diam·log n) depth.
 func (e *Engine) BFS(ctx context.Context, g Graph, src uint32) (dist []uint32, err error) {
 	err = e.exec(ctx, func(s *parallel.Scheduler) { dist = core.BFS(s, g, src) })

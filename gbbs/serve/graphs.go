@@ -44,11 +44,6 @@ type GraphCreateRequest struct {
 	// Transforms are gbbs.ParseTransforms specs applied at build time; runs
 	// against the stored graph cannot add more.
 	Transforms []string `json:"transforms,omitempty"`
-	// Shards is a gbbs.ParsePartition spec recorded as the graph's default
-	// partition: runs against the stored graph that name a mergeable
-	// algorithm and no explicit "shards" of their own execute sharded under
-	// it. Requires the server to enable sharding (Config.MaxShards).
-	Shards string `json:"shards,omitempty"`
 }
 
 // EdgeBatchRequest is the body of POST /v1/graphs/{name}/edges.
@@ -123,18 +118,7 @@ func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q", name)
 		return
 	}
-	info := storeInfo(snap)
-	if part, ok := s.shardDefault(name); ok {
-		info.Shards = part.Shards
-		// Report per-shard sizes when the current version's decomposition is
-		// resident; a describe never forces a split.
-		if co := s.shards.peek(shardKey(snap.ID(), part)); co != nil {
-			for _, st := range co.Stats() {
-				info.ShardBytes = append(info.ShardBytes, st.ApproxBytes)
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, http.StatusOK, storeInfo(snap))
 }
 
 // handleGraphDelete implements DELETE /v1/graphs/{name}: the graph is
@@ -149,8 +133,6 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	frag := storeKeyFragment(name)
 	s.results.InvalidateMatching(func(key string) bool { return strings.Contains(key, frag) })
-	s.shards.invalidateMatching(func(key string) bool { return strings.HasPrefix(key, storeShardPrefix(name)) })
-	s.setShardDefault(name, gbbs.Partition{}, false)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -188,11 +170,6 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	part, rerr := s.parseShards(req.Shards, "")
-	if rerr != nil {
-		writeError(w, rerr.status, "%s", rerr.msg)
-		return
-	}
 	if _, dup := s.store.Get(name); dup {
 		writeError(w, http.StatusConflict, "graph %q already exists (DELETE it first; versions are not reused)", name)
 		return
@@ -227,12 +204,7 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	info := storeInfo(snap)
-	if part != nil {
-		s.setShardDefault(name, *part, true)
-		info.Shards = part.Shards
-	}
-	writeJSON(w, http.StatusCreated, info)
+	writeJSON(w, http.StatusCreated, storeInfo(snap))
 }
 
 // handleGraphEdges implements POST /v1/graphs/{name}/edges: decode the
@@ -288,11 +260,9 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 	invalidated := 0
 	if added > 0 {
 		// The new version's fingerprints differ, so every retained entry for
-		// this graph is for a superseded version: drop them all, along with
-		// any resident shard decompositions of those versions.
+		// this graph is for a superseded version: drop them all.
 		frag := storeKeyFragment(name)
 		invalidated = s.results.InvalidateMatching(func(key string) bool { return strings.Contains(key, frag) })
-		s.shards.invalidateMatching(func(key string) bool { return strings.HasPrefix(key, storeShardPrefix(name)) })
 	}
 	writeJSON(w, http.StatusOK, EdgeBatchResponse{
 		Name:               name,

@@ -131,6 +131,26 @@ func TestGraphRunValidation(t *testing.T) {
 	}
 }
 
+// TestStoredGraphDefaultPartition checks that PUT /v1/graphs/{name} rejects
+// the retired "shards" field as an unknown field and stores nothing.
+func TestStoredGraphDefaultPartition(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{MaxThreads: 4})
+	var e serve.ErrorResponse
+	if status := doJSON(t, ts, http.MethodPut, "/v1/graphs/wiki", `{"source":"rmat:8","transforms":["symmetrize"],"shards":"4"}`, &e); status != http.StatusBadRequest {
+		t.Fatalf("create with shards: status = %d, want 400", status)
+	}
+	if !strings.Contains(e.Error, `unknown field "shards"`) {
+		t.Fatalf("create with shards: error %q does not name the shards field", e.Error)
+	}
+	var list serve.GraphListResponse
+	if status := doJSON(t, ts, http.MethodGet, "/v1/graphs", "", &list); status != http.StatusOK {
+		t.Fatalf("list status = %d", status)
+	}
+	if len(list.Graphs) != 0 {
+		t.Fatalf("rejected create stored a graph: %+v", list.Graphs)
+	}
+}
+
 // TestEdgeUpdateNeverServesStaleResult is the acceptance check of the
 // version-aware result cache: a run after POSTing edges is a result-cache
 // miss whose fingerprint embeds the new version — never a stale hit.

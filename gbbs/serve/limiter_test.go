@@ -92,14 +92,10 @@ func TestLimiterFIFOWithinTenant(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
-			// Stagger enqueueing so the queue order is deterministic.
-			time.Sleep(time.Duration(i) * 30 * time.Millisecond)
 			if err := l.Acquire(context.Background(), DefaultTenant, 4); err != nil {
 				t.Error(err)
 				return
@@ -109,9 +105,12 @@ func TestLimiterFIFOWithinTenant(t *testing.T) {
 			mu.Unlock()
 			l.Release(DefaultTenant, 4)
 		}(i)
+		// Start the next waiter only once this one is queued, so the queue
+		// order is deterministic however the goroutines are scheduled.
+		for l.Queued(DefaultTenant) < i+1 {
+			runtime.Gosched()
+		}
 	}
-	close(start)
-	time.Sleep(150 * time.Millisecond) // let all three queue up
 	l.Release(DefaultTenant, 4)
 	wg.Wait()
 	for i, got := range order {

@@ -72,11 +72,9 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/gbbs"
-	"repro/gbbs/shard"
 	"repro/gbbs/store"
 	"repro/internal/vfs"
 )
@@ -142,10 +140,6 @@ type Config struct {
 	// with 503 while that many jobs are active; finished jobs beyond it are
 	// evicted oldest-first ahead of their TTL. 0 selects 1024.
 	MaxJobs int
-	// MaxShards enables sharded execution (gbbs-serve -shards) and caps the
-	// shard count a request may ask for. 0 (the default) disables sharding:
-	// requests carrying a "shards" spec are rejected with 400.
-	MaxShards int
 }
 
 // Server runs declarative graph requests over HTTP. Create it with New,
@@ -159,12 +153,8 @@ type Server struct {
 	engines *EnginePool
 	store   *store.Store
 	jobs    *jobTable
-	shards  *shardCache
 	mux     *http.ServeMux
 	started time.Time
-
-	shardDefaultsMu sync.Mutex
-	shardDefaults   map[string]gbbs.Partition // stored-graph name -> default partition
 
 	buildCtx  context.Context
 	stopBuild context.CancelFunc
@@ -199,19 +189,17 @@ func New(cfg Config) *Server {
 	}
 	buildCtx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:           cfg,
-		cache:         NewCache(buildCtx, cfg.CacheBytes),
-		results:       NewResultCache(cfg.ResultCacheBytes),
-		limiter:       NewLimiter(cfg.MaxThreads, cfg.TenantWeights),
-		engines:       NewEnginePool(cfg.MaxThreads),
-		store:         store.New(cfg.StoreConfig),
-		jobs:          newJobTable(cfg.JobTTL, cfg.MaxJobs),
-		shards:        newShardCache(),
-		mux:           http.NewServeMux(),
-		started:       time.Now(),
-		shardDefaults: make(map[string]gbbs.Partition),
-		buildCtx:      buildCtx,
-		stopBuild:     stop,
+		cfg:       cfg,
+		cache:     NewCache(buildCtx, cfg.CacheBytes),
+		results:   NewResultCache(cfg.ResultCacheBytes),
+		limiter:   NewLimiter(cfg.MaxThreads, cfg.TenantWeights),
+		engines:   NewEnginePool(cfg.MaxThreads),
+		store:     store.New(cfg.StoreConfig),
+		jobs:      newJobTable(cfg.JobTTL, cfg.MaxJobs),
+		mux:       http.NewServeMux(),
+		started:   time.Now(),
+		buildCtx:  buildCtx,
+		stopBuild: stop,
 	}
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -254,7 +242,6 @@ func (s *Server) Store() *store.Store { return s.store }
 // error; call it after the http.Server has drained.
 func (s *Server) Close() {
 	s.stopBuild()
-	s.shards.closeAll()
 	s.engines.Close()
 }
 
@@ -304,15 +291,6 @@ type RunRequest struct {
 	// IncludeValue returns the algorithm's full output value (which is
 	// O(n) numbers for most algorithms) instead of only the summary.
 	IncludeValue bool `json:"include_value,omitempty"`
-	// Shards is a gbbs.ParsePartition spec ("4", "shards=4,by=range"); when
-	// set, a mergeable algorithm executes by scatter-gather across that many
-	// per-shard engines (gbbs/shard). The canonical partition is folded into
-	// the result-cache fingerprint, so runs at different shard counts never
-	// share a cached result. Requires the server to enable sharding
-	// (Config.MaxShards); non-mergeable algorithms are rejected with 400.
-	// Empty selects the stored graph's default partition when one was set at
-	// creation time, unsharded execution otherwise.
-	Shards string `json:"shards,omitempty"`
 }
 
 // GraphInfo describes the graph a run executed on.
@@ -359,10 +337,6 @@ type RunResponse struct {
 	// Result is the algorithm's result in gbbs.Result's JSON form (value
 	// omitted unless the request set include_value).
 	Result gbbs.Result `json:"result"`
-	// Sharded reports how a sharded run executed — the partition, per-shard
-	// local timings and summaries, merge time and (for BFS) frontier-exchange
-	// rounds. Absent for unsharded runs.
-	Sharded *shard.Report `json:"sharded,omitempty"`
 }
 
 // ErrorResponse is the wire form of any non-2xx response.
@@ -428,11 +402,6 @@ type HealthResponse struct {
 	// size, degraded flag, recovery stats); only present on persistent
 	// stores.
 	Durability []store.GraphDurability `json:"durability,omitempty"`
-	// MaxShards echoes the server's sharding cap (0: sharding disabled).
-	MaxShards int `json:"max_shards,omitempty"`
-	// ShardCoordinators lists the resident shard decompositions with
-	// per-shard stats (owned vertices, edge split, approximate bytes).
-	ShardCoordinators []ShardCoordinatorInfo `json:"shard_coordinators,omitempty"`
 }
 
 // writeJSON writes v with the given status.
@@ -468,8 +437,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Jobs:               s.jobs.stats(),
 		Persistent:         s.store.Persistent(),
 		Durability:         s.store.Durability(),
-		MaxShards:          s.cfg.MaxShards,
-		ShardCoordinators:  s.shards.stats(),
 	})
 }
 
@@ -515,13 +482,12 @@ type parsedRun struct {
 	algo       gbbs.Algorithm
 	source     gbbs.GraphSource
 	transforms []gbbs.Transform
-	snap       store.Snapshot  // store-backed runs: the resolved snapshot
-	useStore   bool            // request addressed a stored graph
-	part       *gbbs.Partition // sharded runs: the resolved partition; nil otherwise
-	key        string          // graph-cache key, or the snapshot ID for store runs
-	fp         string          // result-cache key: gbbs.Request.Key fingerprint
-	seed       uint64          // resolved seed (request seed or gbbs.DefaultSeed)
-	tenant     string          // resolved tenant (request tenant or DefaultTenant)
+	snap       store.Snapshot // store-backed runs: the resolved snapshot
+	useStore   bool           // request addressed a stored graph
+	key        string         // graph-cache key, or the snapshot ID for store runs
+	fp         string         // result-cache key: gbbs.Request.Key fingerprint
+	seed       uint64         // resolved seed (request seed or gbbs.DefaultSeed)
+	tenant     string         // resolved tenant (request tenant or DefaultTenant)
 	threads    int
 	timeout    time.Duration
 	progress   func(JobState) // async jobs: lifecycle transition hook; nil for /v1/run
@@ -598,11 +564,6 @@ func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
 		return fail(http.StatusBadRequest, "bad tenant %q: want at most 64 bytes of [A-Za-z0-9._-]", req.Tenant)
 	}
 
-	part, rerr := s.parseShards(req.Shards, req.Algorithm)
-	if rerr != nil {
-		return nil, rerr
-	}
-
 	var (
 		source     gbbs.GraphSource
 		transforms []gbbs.Transform
@@ -624,14 +585,6 @@ func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
 		// a result computed on a superseded version can never be returned.
 		key = snap.ID()
 		fpReq = gbbs.Request{GraphID: key, Source: req.Src, Opts: req.Opts}
-		if part == nil && req.Shards == "" {
-			// A graph stored with a default partition runs sharded when the
-			// algorithm is mergeable; others fall back to a single engine
-			// (the default is advisory, unlike an explicit "shards").
-			if def, ok := s.shardDefault(req.Graph); ok && shard.Mergeable(req.Algorithm) {
-				part = &def
-			}
-		}
 	} else {
 		var err error
 		source, err = gbbs.ParseSource(req.Source)
@@ -666,7 +619,6 @@ func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
 		seed = *req.Seed
 	}
 	fpReq.Seed = &seed
-	fpReq.Partition = part
 	fp, err := fpReq.Key(a)
 	if err != nil {
 		return fail(http.StatusBadRequest, "%v", err)
@@ -688,7 +640,6 @@ func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
 		transforms: transforms,
 		snap:       snap,
 		useStore:   req.Graph != "",
-		part:       part,
 		key:        key,
 		fp:         fp,
 		seed:       seed,
@@ -812,23 +763,7 @@ func (s *Server) execute(ctx context.Context, p *parsedRun) (RunResponse, error)
 	if p.progress != nil {
 		p.progress(JobRunning)
 	}
-	var (
-		rep *shard.Report
-		res gbbs.Result
-		err error
-	)
-	if p.part != nil {
-		// Sharded execution: fetch (or split and cache) the coordinator for
-		// this (graph, partition), then scatter-gather through it. The
-		// coordinator's engines are its own; eng only serves the split.
-		co, _, cerr := s.coordinatorFor(ctx, p, eng, g)
-		if cerr != nil {
-			return RunResponse{}, cerr
-		}
-		res, rep, err = co.Run(ctx, p.algo.Name, gbbs.Request{Source: p.req.Src, Seed: &p.seed, Opts: p.req.Opts})
-	} else {
-		res, err = eng.Run(ctx, p.algo.Name, runReq)
-	}
+	res, err := eng.Run(ctx, p.algo.Name, runReq)
 	if err != nil {
 		return RunResponse{}, err
 	}
@@ -854,8 +789,7 @@ func (s *Server) execute(ctx context.Context, p *parsedRun) (RunResponse, error)
 			Symmetric:   g.Symmetric(),
 			ApproxBytes: approxGraphBytes(g),
 		},
-		Result:  res,
-		Sharded: rep,
+		Result: res,
 	}, nil
 }
 

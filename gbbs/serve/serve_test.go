@@ -258,6 +258,28 @@ func TestRunBadParams(t *testing.T) {
 	}
 }
 
+// TestRunShardsValidation checks that /v1/run rejects the retired "shards"
+// field as an unknown field, before anything is built, admitted or cached.
+func TestRunShardsValidation(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	for _, body := range []string{
+		`{"source":"rmat:8","transforms":["symmetrize"],"algorithm":"cc","shards":"2"}`,
+		`{"source":"rmat:8","transforms":["symmetrize"],"algorithm":"kcore","shards":"1"}`,
+	} {
+		var e serve.ErrorResponse
+		if status := postRun(t, ts, body, &e); status != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, status)
+		} else if !strings.Contains(e.Error, `unknown field "shards"`) {
+			t.Errorf("%s: error %q does not name the shards field", body, e.Error)
+		}
+	}
+	var cs serve.CachesResponse
+	getJSON(t, ts, "/v1/cache", &cs)
+	if cs.Results.Misses != 0 || cs.Graph.Misses != 0 {
+		t.Fatalf("rejected requests reached the caches: %+v", cs)
+	}
+}
+
 // TestFingerprintNormalization checks that equivalent requests — different
 // spec spellings, defaults spelled out explicitly, integer-valued JSON
 // floats — share one result-cache entry, and that genuinely different

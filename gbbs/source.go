@@ -43,9 +43,9 @@ type Builder struct {
 // Threads reports the worker count of the engine running the build.
 func (b *Builder) Threads() int { return b.s.Workers() }
 
-// Poll checks the context the enclosing Engine.Exec (or build) is attached
-// to, unwinding promptly when it is cancelled. Long sequential sections
-// should call it between phases; the parallel loops already poll.
+// Poll checks the context the enclosing build is attached to, unwinding
+// promptly when it is cancelled. Long sequential sections should call it
+// between phases; the parallel loops already poll.
 func (b *Builder) Poll() { b.s.Poll() }
 
 // Parallel runs body over the half-open range [0, n) split into blocks on

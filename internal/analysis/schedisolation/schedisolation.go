@@ -3,8 +3,8 @@
 // reference the process-global scheduler parallel.Default or the
 // package-level convenience wrappers that delegate to it. All parallelism
 // in build-phase and algorithm code must flow through the *parallel.Scheduler
-// the code is handed, so that independent engines (and, per the ROADMAP,
-// future multi-tenant shards) never share worker pools by accident.
+// the code is handed, so that independent engines never share worker pools
+// by accident.
 //
 // The check is type-aware: it resolves identifiers to the objects they
 // denote, so an aliased import (p "repro/internal/parallel"), a dot import,

@@ -112,7 +112,10 @@ func MakeTorusInput(side int, seed uint64) Input {
 // Measure times one run of a on the appropriate variant of in with the
 // given worker count. Each call runs on a fresh isolated engine, so
 // concurrent measurements (or a measurement alongside serving traffic)
-// never interfere through a shared thread count.
+// never interfere through a shared thread count. It returns 0 when in lacks
+// the variant a needs (no directed graph, or no weights), and panics when
+// the run itself fails: a failed run has no time, and recording 0 would
+// pass it off as one.
 func Measure(in Input, a Algo, threads int) time.Duration {
 	g := in.Sym
 	if a.Directed {
@@ -128,7 +131,7 @@ func Measure(in Input, a Algo, threads int) time.Duration {
 	defer e.Close()
 	res, err := e.Run(context.Background(), a.Key, gbbs.Request{Graph: g, Seed: gbbs.Ptr(a.Seed)})
 	if err != nil {
-		return 0
+		panic(fmt.Sprintf("bench: %s: %v", a.Key, err))
 	}
 	return res.Elapsed
 }

@@ -155,6 +155,16 @@ func TestMeasureRespectsVariants(t *testing.T) {
 	}
 }
 
+func TestMeasurePanicsOnRunError(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "nosuch") || !strings.Contains(msg, "unknown algorithm") {
+			t.Fatalf("Measure of a failing run: recovered %q, want a panic naming the key and the error", msg)
+		}
+	}()
+	Measure(MakeTorusInput(4, 1), Algo{Key: "nosuch"}, 1)
+}
+
 func TestMeasureIncremental(t *testing.T) {
 	res := MeasureIncremental(12, 200, 2, 1)
 	if res.StaticNS <= 0 || res.IncrementalNS <= 0 {
@@ -177,31 +187,9 @@ func TestWriteJSONIncludesIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"incremental"`, `"static_ns"`, `"incremental_ns"`, `"batch_edges"`,
-		`"sharded"`, `"single_ns"`, `"split_ns"`, `"merge_ns"`} {
+	for _, want := range []string{`"incremental"`, `"static_ns"`, `"incremental_ns"`, `"batch_edges"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("JSON report missing %s:\n%s", want, out)
-		}
-	}
-}
-
-func TestMeasureSharded(t *testing.T) {
-	// MeasureSharded itself asserts the sharded labels equal the
-	// single-engine labels; here we check the shape of the record.
-	res := MeasureSharded(11, 2, 1, 2, 4)
-	if res.Scale != 11 || res.SingleNS <= 0 {
-		t.Fatalf("bad header: %+v", res)
-	}
-	if len(res.Runs) != 2 {
-		t.Fatalf("got %d runs, want 2", len(res.Runs))
-	}
-	for i, k := range []int{2, 4} {
-		r := res.Runs[i]
-		if r.Shards != k || r.SplitNS <= 0 || r.RunNS <= 0 || r.MergeNS <= 0 {
-			t.Fatalf("run %d: %+v", i, r)
-		}
-		if r.MergeNS > r.RunNS {
-			t.Fatalf("run %d: merge (%dns) exceeds total (%dns)", i, r.MergeNS, r.RunNS)
 		}
 	}
 }

@@ -31,10 +31,6 @@ type JSONReport struct {
 	// incremental update path after a small edge batch (the versioned graph
 	// store's workload).
 	Incremental IncrementalResult `json:"incremental"`
-	// Sharded compares single-engine connectivity against scatter-gather
-	// execution over the shard coordinator at several shard counts (the
-	// gbbs/shard subsystem's workload).
-	Sharded ShardedResult `json:"sharded"`
 }
 
 // JSONAlgo is one problem's measurements inside a JSONReport.
@@ -88,9 +84,6 @@ func WriteJSON(w io.Writer, label string, c Config) error {
 	// A batch of ~1000 edges against a 2^scale-vertex graph: small relative
 	// to the graph, as store updates are.
 	rep.Incremental = MeasureIncremental(c.Scale, 1000, threads, c.Seed)
-	// Shard counts 2/4/8 bracket the in-process coordinator's useful range on
-	// one machine; each run must reproduce the single-engine labels exactly.
-	rep.Sharded = MeasureSharded(c.Scale, threads, c.Seed, 2, 4, 8)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
