@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test ./gbbs -fuzz '^FuzzParseTransforms$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/serve -fuzz '^FuzzRunRequestDecode$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/core -fuzz '^FuzzTriangleCount$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 # Verify the engine-scoped build pipeline: vet plus race-mode tests of the
 # graph-construction packages and the public Build API (covers the

@@ -125,7 +125,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "ldd", Description: "(2β, O(log n/β))-low-diameter decomposition (Miller-Peng-Xu); O(m) expected work",
-		PaperRow: "Low-Diameter Decomposition (LDD)", PaperOrder: 5,
+		PaperRow: "Low-Diameter Decomposition (LDD)", PaperOrder: 5, Seeded: true,
 		Params: []Param{paramBeta()},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		labels := core.LDD(s, req.Graph, req.Float("beta"), req.seed(e))
@@ -179,7 +179,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "scc", Description: "strongly connected components via randomized multi-source reachability; O(m·log n) expected work",
-		Directed: true, PaperRow: "Strongly Connected Components (SCC)", PaperOrder: 8,
+		Directed: true, PaperRow: "Strongly Connected Components (SCC)", PaperOrder: 8, Seeded: true,
 		Params: []Param{
 			FloatParam("beta", 2.0, "exponential growth rate of the per-phase center batch; the paper explores [1.1, 2.0]").Bounded(1.01, 16),
 			IntParam("trimrounds", 3, "zero-degree trimming iterations before the main loop; 0 or -1 disables trimming").Bounded(-1, 1024),
@@ -207,7 +207,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "mis", Description: "maximal independent set, greedy over a random permutation (rootset-based); O(m) expected work",
-		PaperRow: "Maximal Independent Set (MIS)", PaperOrder: 10,
+		PaperRow: "Maximal Independent Set (MIS)", PaperOrder: 10, Seeded: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		in := core.MIS(s, req.Graph, req.seed(e))
 		c := 0
@@ -221,6 +221,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "misprefix", Description: "maximal independent set, prefix-based baseline the paper compares against",
+		Seeded: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		in := core.MISPrefix(s, req.Graph, req.seed(e))
 		c := 0
@@ -234,7 +235,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "mm", Description: "maximal matching, greedy over a random edge permutation; O(m) expected work",
-		PaperRow: "Maximal Matching (MM)", PaperOrder: 11,
+		PaperRow: "Maximal Matching (MM)", PaperOrder: 11, Seeded: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		match := core.MaximalMatching(s, req.Graph, req.seed(e))
 		return Result{Summary: fmt.Sprintf("%d matched edges", len(match)), Value: match}
@@ -242,7 +243,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "coloring", Description: "(Δ+1)-vertex-coloring via Jones-Plassmann under the LLF heuristic",
-		PaperRow: "Graph Coloring", PaperOrder: 12,
+		PaperRow: "Graph Coloring", PaperOrder: 12, Seeded: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		colors := core.Coloring(s, req.Graph, req.seed(e))
 		return Result{Summary: fmt.Sprintf("%d colors", core.NumColors(s, colors)), Value: colors}
@@ -250,6 +251,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "coloring-lf", Description: "(Δ+1)-vertex-coloring via Jones-Plassmann under the largest-degree-first heuristic",
+		Seeded: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		colors := core.ColoringLF(s, req.Graph, req.seed(e))
 		return Result{Summary: fmt.Sprintf("%d colors", core.NumColors(s, colors)), Value: colors}
@@ -279,7 +281,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "setcover", Description: "O(log n)-approximation of set cover where the set of v covers N(v); O(m) expected work",
-		PaperRow: "Approximate Set Cover", PaperOrder: 14,
+		PaperRow: "Approximate Set Cover", PaperOrder: 14, Seeded: true,
 		Params: []Param{FloatParam("eps", 0.01, "bucketing accuracy ε: elements are peeled in (1+ε)-factor cost classes").Bounded(1e-6, 1)},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		cover := core.ApproxSetCover(s, req.Graph, req.Float("eps"), req.seed(e))
@@ -287,7 +289,7 @@ func init() {
 	})
 
 	register(Algorithm{
-		Name: "tc", Description: "triangle count of a symmetric graph via sorted intersection; O(m^1.5) work",
+		Name: "tc", Description: "triangle count of a symmetric graph (parallel edges counted once) by mark-set intersection over the degree-ordered DAG; O(m^1.5) work",
 		PaperRow: "Triangle Counting (TC)", PaperOrder: 15,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		count := core.TriangleCount(s, req.Graph)
@@ -296,6 +298,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "stats", Description: "undirected-graph statistics suite behind the paper's Tables 3 and 8-13",
+		Seeded: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		gs := stats.ComputeSym(s, "input", req.Graph, StatsOptions{Seed: req.seed(e)})
 		return Result{
@@ -306,7 +309,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "stats-dir", Description: "directed-graph statistics (SCC structure, directed diameter)",
-		Directed: true,
+		Directed: true, Seeded: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		gs := stats.ComputeDir(s, "input", req.Graph, StatsOptions{Seed: req.seed(e)})
 		return Result{

@@ -192,6 +192,20 @@ func TestRequestKey(t *testing.T) {
 		t.Fatal("explicit seed 0 shares the default-seed fingerprint")
 	}
 
+	// cc's output does not depend on the seed, so neither does its key.
+	cc := lookupT(t, "cc")
+	cc1, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}}.Key(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc0, err := Request{Input: &InputSpec{Source: srcA, Transforms: tfs}, Seed: Ptr(uint64(0))}.Key(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc0 != cc1 || strings.Contains(cc1, "|seed=") {
+		t.Fatalf("seed folded into a seed-free fingerprint:\n%s\nvs\n%s", cc1, cc0)
+	}
+
 	// No declarative input: not fingerprintable.
 	if _, err := (Request{Graph: RMATGraph(4, 4, true, false, 1)}).Key(ldd); err == nil {
 		t.Fatal("Key accepted a direct Graph")
@@ -199,6 +213,42 @@ func TestRequestKey(t *testing.T) {
 	// Bad opts: same rejection Engine.Run gives.
 	if _, err := (Request{Input: &InputSpec{Source: srcA}, Opts: map[string]any{"beta": -1.0}}).Key(ldd); err == nil {
 		t.Fatal("Key accepted out-of-range opts")
+	}
+}
+
+// TestSeedFreeAlgorithmsIgnoreSeed backs the Seeded marks Request.Key
+// relies on: every registered algorithm that is not Seeded must give the
+// same Summary and Value at two seeds, on a skewed RMAT graph and on a
+// torus, so a missing mark (a seed-dependent algorithm sharing result-cache
+// entries across seeds) fails here.
+func TestSeedFreeAlgorithmsIgnoreSeed(t *testing.T) {
+	e := New(WithThreads(1))
+	defer e.Close()
+	ctx := context.Background()
+	for _, src := range []GraphSource{RMAT(10, 8, 1), Torus(8)} {
+		for _, a := range Algorithms() {
+			if a.Seeded {
+				continue
+			}
+			var tfs []Transform
+			if !a.Directed {
+				tfs = append(tfs, Symmetrize())
+			}
+			if a.NeedsWeights {
+				tfs = append(tfs, PaperWeights(1))
+			}
+			run := func(seed uint64) Result {
+				res, err := e.Run(ctx, a.Name, Request{Input: &InputSpec{Source: src, Transforms: tfs}, Seed: Ptr(seed)})
+				if err != nil {
+					t.Fatalf("%s on %s at seed %d: %v", a.Name, src, seed, err)
+				}
+				return res
+			}
+			r1, r2 := run(1), run(2)
+			if r1.Summary != r2.Summary || !reflect.DeepEqual(r1.Value, r2.Value) {
+				t.Errorf("%s on %s is not Seeded but its output changes with the seed (%q vs %q)", a.Name, src, r1.Summary, r2.Summary)
+			}
+		}
 	}
 }
 

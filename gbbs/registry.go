@@ -107,11 +107,13 @@ func (r Request) Bool(name string) bool { return r.param(name).(bool) }
 // Key returns the request's canonical fingerprint under algorithm a: the
 // deterministic identity of the run's output, folding the algorithm name,
 // the canonical source and transform spec strings, the source vertex (only
-// for algorithms that read one), the resolved seed and the normalized
-// parameter map (defaults applied, values canonically typed and formatted).
-// Two requests with equal keys compute identical results — every algorithm
-// is deterministic in (input, seed, params), independent of thread count —
-// which is what lets the serving layer key its result cache on it.
+// for algorithms that read one), the resolved seed (only for Seeded
+// algorithms) and the normalized parameter map (defaults applied, values
+// canonically typed and formatted). Two requests with equal keys compute
+// identical results — every algorithm is deterministic in (input, seed,
+// params), independent of thread count, and an algorithm that is not
+// Seeded is independent of the seed too — which is what lets the serving
+// layer key its result cache on it.
 //
 // Key requires a canonical input spelling: a declarative Request.Input, or
 // — for directly-supplied graphs that have one — a GraphID (the store
@@ -131,10 +133,6 @@ func (r Request) Key(a Algorithm) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	seed := DefaultSeed
-	if r.Seed != nil {
-		seed = *r.Seed
-	}
 	var b strings.Builder
 	b.WriteString(a.Name)
 	b.WriteByte('|')
@@ -150,7 +148,13 @@ func (r Request) Key(a Algorithm) (string, error) {
 	if a.NeedsSource {
 		fmt.Fprintf(&b, "|src=%d", r.Source)
 	}
-	fmt.Fprintf(&b, "|seed=%d", seed)
+	if a.Seeded {
+		seed := DefaultSeed
+		if r.Seed != nil {
+			seed = *r.Seed
+		}
+		fmt.Fprintf(&b, "|seed=%d", seed)
+	}
 	if s := canonicalParams(params); s != "" {
 		b.WriteByte('|')
 		b.WriteString(s)
@@ -213,6 +217,12 @@ type Algorithm struct {
 	// (the paper runs SCC on directed graphs and everything else on
 	// symmetrized ones).
 	Directed bool
+	// Seeded marks algorithms whose output depends on the run's seed
+	// (random permutations, priorities or centers). Request.Key folds the
+	// seed into the fingerprint only for these, so runs of a seed-free
+	// algorithm at different seeds share one result-cache entry. A
+	// registration that reads Request.Seed must set it.
+	Seeded bool
 	// PaperRow, when non-empty, is this algorithm's row label in the
 	// paper's Tables 2/4/5. The bench harness derives its 15-problem suite
 	// from these.

@@ -346,7 +346,7 @@ func TestCacheInvalidateEndpoint(t *testing.T) {
 		t.Fatalf("invalidate graph = %+v", inv)
 	}
 	var rebuilt serve.RunResponse
-	if status := postRun(t, ts, `{"source":"path:60","transforms":["sym"],"algorithm":"cc","seed":9}`, &rebuilt); status != http.StatusOK {
+	if status := postRun(t, ts, `{"source":"path:60","transforms":["sym"],"algorithm":"mis","seed":9}`, &rebuilt); status != http.StatusOK {
 		t.Fatalf("rebuild run status = %d", status)
 	}
 	if rebuilt.Cache != "miss" {

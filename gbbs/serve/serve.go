@@ -326,7 +326,10 @@ type RunResponse struct {
 	// Key is the request's canonical fingerprint (gbbs.Request.Key), the
 	// identity under which identical requests share one result-cache entry.
 	Key string `json:"key"`
-	// Seed is the effective seed the run used (gbbs.Result.Seed).
+	// Seed is the effective seed the run used (gbbs.Result.Seed). The
+	// fingerprint of an algorithm that is not gbbs.Algorithm.Seeded omits
+	// the seed, so a result-cache hit for one echoes the seed of the run
+	// that produced the cached entry.
 	Seed uint64 `json:"seed"`
 	// Threads is the admitted worker count the run used. A result-cache hit
 	// echoes the thread count of the run that produced the cached entry

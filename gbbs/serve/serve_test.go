@@ -178,6 +178,30 @@ func TestRunAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestSeedFreeRunSharesResultAcrossSeeds checks that a seed-free algorithm's
+// fingerprint omits the seed: cc at seed 2 is answered from the entry cc at
+// seed 1 cached, while the seeded ldd executes once per seed.
+func TestSeedFreeRunSharesResultAcrossSeeds(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{MaxThreads: 2})
+	run := func(algo string, seed int) serve.RunResponse {
+		t.Helper()
+		var resp serve.RunResponse
+		body := fmt.Sprintf(`{"source":"rmat:10","transforms":["sym"],"algorithm":%q,"seed":%d}`, algo, seed)
+		if status := postRun(t, ts, body, &resp); status != http.StatusOK {
+			t.Fatalf("%s seed %d status = %d", algo, seed, status)
+		}
+		return resp
+	}
+	first, second := run("cc", 1), run("cc", 2)
+	if first.ResultCache != "miss" || second.ResultCache != "hit" || second.Key != first.Key {
+		t.Fatalf("cc at seeds 1, 2: result_cache %q, %q, keys %q, %q; want miss then hit on one key",
+			first.ResultCache, second.ResultCache, first.Key, second.Key)
+	}
+	if a, b := run("ldd", 1), run("ldd", 2); b.ResultCache != "miss" || a.Key == b.Key {
+		t.Fatalf("ldd at seeds 1, 2 share key %q", a.Key)
+	}
+}
+
 func TestRunSpellingsShareCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{MaxThreads: 4})
 	spellings := []string{
@@ -509,14 +533,15 @@ func TestEvictionUnderSmallBudget(t *testing.T) {
 }
 
 // TestResultCacheEvictionUnderSmallBudget fills a tiny result cache with
-// distinct fingerprints (different seeds over one cached graph) and checks
+// distinct fingerprints (different seeds of the seeded ldd over one cached
+// graph) and checks
 // LRU eviction with observable counters.
 func TestResultCacheEvictionUnderSmallBudget(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{MaxThreads: 4, ResultCacheBytes: 2000})
 	for seed := 1; seed <= 4; seed++ {
 		// include_value makes each cached response ~1KiB+, so four distinct
 		// fingerprints overflow the 2000-byte budget.
-		body := fmt.Sprintf(`{"source":"path:300","transforms":["symmetrize"],"algorithm":"cc","seed":%d,"include_value":true}`, seed)
+		body := fmt.Sprintf(`{"source":"path:300","transforms":["symmetrize"],"algorithm":"ldd","seed":%d,"include_value":true}`, seed)
 		var resp serve.RunResponse
 		if status := postRun(t, ts, body, &resp); status != http.StatusOK {
 			t.Fatalf("seed %d status = %d", seed, status)
@@ -585,11 +610,12 @@ func TestHealthzAfterLoad(t *testing.T) {
 // residents.
 func TestEngineReuseAcrossRequests(t *testing.T) {
 	s, ts := newTestServer(t, serve.Config{MaxThreads: 4})
-	// Distinct seeds give distinct result-cache fingerprints, so both
-	// requests really execute (an identical repeat would be answered from
-	// the result cache without ever touching the engine pool).
+	// Distinct seeds of the seeded ldd give distinct result-cache
+	// fingerprints, so both requests really execute (an identical repeat
+	// would be answered from the result cache without ever touching the
+	// engine pool).
 	for i := 0; i < 2; i++ {
-		body := fmt.Sprintf(`{"source":"path:800","transforms":["symmetrize"],"algorithm":"cc","threads":2,"seed":%d}`, i+1)
+		body := fmt.Sprintf(`{"source":"path:800","transforms":["symmetrize"],"algorithm":"ldd","threads":2,"seed":%d}`, i+1)
 		var resp serve.RunResponse
 		if status := postRun(t, ts, body, &resp); status != http.StatusOK {
 			t.Fatalf("run %d status = %d", i, status)

@@ -61,20 +61,16 @@ func FromCSR(s *parallel.Scheduler, g *graph.CSR, blockSize int) *Graph {
 	return out
 }
 
-// FromFunc builds a compressed graph directly from neighbor-emitting
-// callbacks, without materializing a CSR first — the paper's §B uses this
+// FromFunc builds a compressed graph directly from a per-vertex adjacency
+// function, without materializing a CSR first — the paper's §B uses this
 // shape to create triangle counting's degree-ordered directed graph
-// "encoded in the parallel-byte format in O(m) work". deg must match the
-// number of neighbors emit produces; neighbors must be emitted in sorted
-// order. emit is called twice per vertex (measuring pass, encoding pass).
-func FromFunc(s *parallel.Scheduler, n int, symmetric bool, blockSize int, deg func(v uint32) int, emit func(v uint32, add func(u uint32, w int32))) *Graph {
+// "encoded in the parallel-byte format in O(m) work". adj returns v's
+// neighbors in sorted order; it may fill and return buf, and must return
+// the same list both times it is called for v (a measuring pass and an
+// encoding pass).
+func FromFunc(s *parallel.Scheduler, n int, symmetric bool, blockSize int, adj func(v uint32, buf []uint32) []uint32) *Graph {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
-	}
-	collect := func(v uint32, buf []uint32) []uint32 {
-		buf = buf[:0]
-		emit(v, func(u uint32, _ int32) { buf = append(buf, u) })
-		return buf
 	}
 	g := &Graph{n: n, weighted: false, blockSize: blockSize, symmetric: symmetric}
 	g.degrees = make([]int32, n)
@@ -82,7 +78,7 @@ func FromFunc(s *parallel.Scheduler, n int, symmetric bool, blockSize int, deg f
 	s.ForRange(n, 64, func(lo, hi int) {
 		var buf []uint32
 		for v := lo; v < hi; v++ {
-			buf = collect(uint32(v), buf)
+			buf = adj(uint32(v), buf)
 			g.degrees[v] = int32(len(buf))
 			sizes[v] = int64(encodedSize(uint32(v), buf, nil, blockSize))
 		}
@@ -96,7 +92,7 @@ func FromFunc(s *parallel.Scheduler, n int, symmetric bool, blockSize int, deg f
 	s.ForRange(n, 64, func(lo, hi int) {
 		var buf []uint32
 		for v := lo; v < hi; v++ {
-			buf = collect(uint32(v), buf)
+			buf = adj(uint32(v), buf)
 			if len(buf) > 0 {
 				encodeVertex(g.data[g.offsets[v]:g.offsets[v]:g.offsets[v+1]], uint32(v), buf, nil, blockSize)
 			}

@@ -182,11 +182,7 @@ func TestCompressionRatio(t *testing.T) {
 func TestFromFuncMatchesFromCSR(t *testing.T) {
 	csr := gen.BuildRMAT(parallel.Default, 9, 8, true, false, 13)
 	direct := FromCSR(parallel.Default, csr, 16)
-	viaFunc := FromFunc(parallel.Default, csr.N(), true, 16,
-		func(v uint32) int { return csr.OutDeg(v) },
-		func(v uint32, add func(u uint32, w int32)) {
-			csr.OutNgh(v, func(u uint32, w int32) bool { add(u, w); return true })
-		})
+	viaFunc := FromFunc(parallel.Default, csr.N(), true, 16, csr.DecodeOut)
 	if viaFunc.M() != direct.M() || viaFunc.N() != direct.N() {
 		t.Fatalf("sizes: %d/%d vs %d/%d", viaFunc.N(), viaFunc.M(), direct.N(), direct.M())
 	}
@@ -209,23 +205,14 @@ func TestFromFuncFiltered(t *testing.T) {
 		return v < u
 	}
 	dg := FromFunc(parallel.Default, csr.N(), false, 0,
-		func(v uint32) int {
-			d := 0
-			csr.OutNgh(v, func(u uint32, _ int32) bool {
+		func(v uint32, buf []uint32) []uint32 {
+			buf = buf[:0]
+			for _, u := range csr.OutNghSlice(v) {
 				if keep(v, u) {
-					d++
+					buf = append(buf, u)
 				}
-				return true
-			})
-			return d
-		},
-		func(v uint32, add func(u uint32, w int32)) {
-			csr.OutNgh(v, func(u uint32, w int32) bool {
-				if keep(v, u) {
-					add(u, w)
-				}
-				return true
-			})
+			}
+			return buf
 		})
 	if dg.M()*2 != csr.M() {
 		t.Fatalf("directed M=%d, want half of %d", dg.M(), csr.M())

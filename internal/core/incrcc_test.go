@@ -75,23 +75,14 @@ func TestUnionFindFilterMatchesFilteredGraph(t *testing.T) {
 		for _, seed := range []uint64{1, 2} {
 			keep := func(v, u uint32) bool { return xrand.Hash64(seed, seqref.EdgeKey(v, u))%3 != 0 }
 			filtered := graph.FromAdjacency(parallel.Default, g.N(), true,
-				func(v uint32) int {
-					d := 0
-					g.OutNgh(v, func(u uint32, _ int32) bool {
+				func(v uint32, buf []uint32) []uint32 {
+					buf = buf[:0]
+					for _, u := range g.DecodeOut(v, nil) {
 						if keep(v, u) {
-							d++
+							buf = append(buf, u)
 						}
-						return true
-					})
-					return d
-				},
-				func(v uint32, add func(u uint32, w int32)) {
-					g.OutNgh(v, func(u uint32, w int32) bool {
-						if keep(v, u) {
-							add(u, w)
-						}
-						return true
-					})
+					}
+					return buf
 				})
 			want := UnionFindCC(parallel.New(1), filtered)
 			for _, p := range []int{1, 4, runtime.NumCPU()} {

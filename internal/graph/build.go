@@ -176,17 +176,19 @@ func fillOffsets(s *parallel.Scheduler, n int, srcs []uint32, m int) []int64 {
 	return offsets
 }
 
-// FromAdjacency builds a CSR graph directly from per-vertex neighbor
-// functions on scheduler s, used by code that transforms one graph into
-// another (e.g. triangle counting's degree-ordered direction step). deg must
-// match the number of neighbors emit produces for each vertex; neighbors
-// must be emitted in sorted order for algorithms relying on sorted
-// adjacency.
-func FromAdjacency(s *parallel.Scheduler, n int, symmetric bool, deg func(v uint32) int, emit func(v uint32, add func(u uint32, w int32))) *CSR {
+// FromAdjacency builds a CSR graph on scheduler s from a per-vertex
+// adjacency function, used by code that transforms one graph into another
+// (e.g. triangle counting's degree-ordered direction step). adj returns v's
+// neighbors, in sorted order for algorithms relying on sorted adjacency; it
+// may fill and return buf, and must return the same list both times it is
+// called for v (a counting pass and a copying pass).
+func FromAdjacency(s *parallel.Scheduler, n int, symmetric bool, adj func(v uint32, buf []uint32) []uint32) *CSR {
 	degs := make([]int64, n)
 	s.ForRange(n, 0, func(lo, hi int) {
+		var buf []uint32
 		for v := lo; v < hi; v++ {
-			degs[v] = int64(deg(uint32(v)))
+			buf = adj(uint32(v), buf)
+			degs[v] = int64(len(buf))
 		}
 	})
 	offsets := make([]int64, n+1)
@@ -194,12 +196,12 @@ func FromAdjacency(s *parallel.Scheduler, n int, symmetric bool, deg func(v uint
 	offsets[n] = total
 	edges := make([]uint32, total)
 	s.Poll()
-	s.For(n, 64, func(v int) {
-		i := offsets[v]
-		emit(uint32(v), func(u uint32, _ int32) {
-			edges[i] = u
-			i++
-		})
+	s.ForRange(n, 64, func(lo, hi int) {
+		var buf []uint32
+		for v := lo; v < hi; v++ {
+			buf = adj(uint32(v), buf)
+			copy(edges[offsets[v]:offsets[v+1]], buf)
+		}
 	})
 	return &CSR{n: n, offsets: offsets, edges: edges, symmetric: symmetric}
 }

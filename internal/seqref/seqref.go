@@ -522,17 +522,20 @@ func GreedyMatching(n int, eu, ev []uint32, key []uint64) map[uint64]bool {
 }
 
 // Triangles counts triangles by ordered intersection, independently of the
-// parallel implementation's directed-graph construction.
+// parallel implementation's directed-graph construction. It counts the
+// triangles of the underlying simple graph: repeated neighbors are merged
+// and self-loops never close a triangle.
 func Triangles(g graph.Graph) int64 {
 	n := g.N()
+	distinct := func(v uint32) []uint32 { return slices.Compact(slices.Clone(g.DecodeOut(v, nil))) }
 	var count int64
 	for v := 0; v < n; v++ {
-		nv := g.DecodeOut(uint32(v), nil)
+		nv := distinct(uint32(v))
 		for _, u := range nv {
 			if u <= uint32(v) {
 				continue
 			}
-			nu := g.DecodeOut(u, nil)
+			nu := distinct(u)
 			// Count common neighbors w with w > u > v: each triangle once.
 			i, j := 0, 0
 			for i < len(nv) && j < len(nu) {
