@@ -20,11 +20,11 @@ race:
 	$(GO) test -race ./...
 
 # Double-run the race-prone packages (server concurrency: limiter fairness,
-# async jobs, singleflight caches; scheduler internals) under the race
-# detector — -count=2 shakes out ordering-dependent races a single pass can
-# miss.
+# async jobs, singleflight caches; scheduler internals; the bucket
+# structure's parallel CAS-claim filing) under the race detector — -count=2
+# shakes out ordering-dependent races a single pass can miss.
 race-serve:
-	$(GO) test -race -count=2 ./gbbs/serve/... ./internal/parallel/...
+	$(GO) test -race -count=2 ./gbbs/serve/... ./internal/parallel/... ./internal/bucket/...
 
 # Fault-injected durability suite under the race detector: the crash-recovery
 # property test (every filesystem op is a crash point), degraded-mode
@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test ./gbbs/serve -fuzz '^FuzzRunRequestDecode$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/core -fuzz '^FuzzTriangleCount$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/core -fuzz '^FuzzKCore$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 # Verify the engine-scoped build pipeline: vet plus race-mode tests of the
 # graph-construction packages and the public Build API (covers the

@@ -189,7 +189,7 @@ func BenchmarkBaselineKCore(b *testing.B) {
 	g := ablationG
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.KCore(parallel.Default, g, 0)
+			core.KCore(parallel.Default, g)
 		}
 	})
 	b.Run("approx-pow2", func(b *testing.B) {

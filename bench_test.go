@@ -107,7 +107,7 @@ func BenchmarkTable6(b *testing.B) {
 	b.Run("k-core-histogram", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.KCore(parallel.Default, g, 0)
+			core.KCore(parallel.Default, g)
 		}
 	})
 	b.Run("k-core-fetch-and-add", func(b *testing.B) {
@@ -143,7 +143,7 @@ func BenchmarkTable7(b *testing.B) {
 		{"Connectivity", func() { core.UnionFindCC(parallel.Default, in.Sym) }},
 		{"Connectivity-LDD-contraction-ablation", func() { core.Connectivity(parallel.Default, in.Sym, 0.2, 1) }},
 		{"SCC", func() { core.SCC(parallel.Default, in.Dir, 1, core.SCCOpts{}) }},
-		{"k-core", func() { core.KCore(parallel.Default, in.Sym, 1) }},
+		{"k-core", func() { core.KCore(parallel.Default, in.Sym) }},
 		{"TC", func() { core.TriangleCount(parallel.Default, in.Sym) }},
 	}
 	for _, c := range cases {

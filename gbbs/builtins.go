@@ -261,7 +261,7 @@ func init() {
 		Name: "kcore", Description: "exact coreness of every vertex via work-efficient bucketed peeling; O(m+n) expected work",
 		PaperRow: "k-core", PaperOrder: 13,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		coreness, rho := core.KCore(s, req.Graph, 0)
+		coreness, rho := core.KCore(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("kmax=%d rho=%d", core.Degeneracy(s, coreness), rho), Value: coreness}
 	})
 

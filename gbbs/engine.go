@@ -212,7 +212,7 @@ func (e *Engine) ColoringLF(ctx context.Context, g Graph) (colors []uint32, err 
 
 // KCore returns the coreness of every vertex and the peeling complexity ρ.
 func (e *Engine) KCore(ctx context.Context, g Graph) (coreness []uint32, rho int, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { coreness, rho = core.KCore(s, g, 0) })
+	err = e.exec(ctx, func(s *parallel.Scheduler) { coreness, rho = core.KCore(s, g) })
 	return
 }
 

@@ -312,7 +312,7 @@ func Coloring(g Graph, seed uint64) []uint32 { return core.Coloring(parallel.Def
 func ColoringLF(g Graph, seed uint64) []uint32 { return core.ColoringLF(parallel.Default, g, seed) }
 
 // KCore returns the coreness of every vertex and the peeling complexity ρ.
-func KCore(g Graph) (coreness []uint32, rho int) { return core.KCore(parallel.Default, g, 0) }
+func KCore(g Graph) (coreness []uint32, rho int) { return core.KCore(parallel.Default, g) }
 
 // ApproxKCore returns corenesses rounded up to powers of two, the
 // approximate variant of Slota et al. that the paper's Table 7 compares

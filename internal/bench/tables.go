@@ -105,7 +105,7 @@ func Table6(w io.Writer, c Config) {
 		fmt.Fprintf(w, "%-28s %12s %16.1f %18d\n", name, fmtDur(dur),
 			float64(m1.TotalAlloc-m0.TotalAlloc)/1e6, ligra.Traffic.Load())
 	}
-	measure("k-core (histogram)", func() { core.KCore(sched, g, c.Seed) })
+	measure("k-core (histogram)", func() { core.KCore(sched, g) })
 	measure("k-core (fetch-and-add)", func() { core.KCoreFetchAndAdd(sched, g) })
 	measure("weighted BFS (blocked)", func() { core.WeightedBFS(sched, g, 0) })
 	measure("weighted BFS (unblocked)", func() { core.WeightedBFSUnblocked(sched, g, 0) })
@@ -167,7 +167,7 @@ func Table7(w io.Writer, c Config) {
 		{"Connectivity", func() { core.UnionFindCC(sched, in.Sym) }},
 		{"Connectivity (LDD contraction, ablation)", func() { core.Connectivity(sched, in.Sym, 0.2, c.Seed) }},
 		{"SCC*", func() { core.SCC(sched, in.Dir, c.Seed, core.SCCOpts{}) }},
-		{"k-core", func() { core.KCore(sched, in.Sym, c.Seed) }},
+		{"k-core", func() { core.KCore(sched, in.Sym) }},
 		{"TC", func() { core.TriangleCount(sched, in.Sym) }},
 	}
 	for _, o := range ours {

@@ -104,7 +104,7 @@ func TestColoringLFvsLLFBothProper(t *testing.T) {
 func TestApproxKCoreRoundsUpExact(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus", "complete", "tree", "empty"} {
 		g := symGraphs()[name]
-		exact, _ := KCore(parallel.Default, g, 0)
+		exact, _ := KCore(parallel.Default, g)
 		approx := ApproxKCore(parallel.Default, g)
 		for v := range exact {
 			if want := NextPow2AtLeast(exact[v]); approx[v] != want {

@@ -24,8 +24,8 @@ func TestAlgorithmsAgreeOnCompressedSymmetric(t *testing.T) {
 	if a, b := Connectivity(parallel.Default, csr, 0.2, 1), Connectivity(parallel.Default, cg, 0.2, 1); !seqref.SamePartition(a, b) {
 		t.Fatal("connectivity differs on compressed")
 	}
-	ac, arho := KCore(parallel.Default, csr, 0)
-	bc, brho := KCore(parallel.Default, cg, 0)
+	ac, arho := KCore(parallel.Default, csr)
+	bc, brho := KCore(parallel.Default, cg)
 	if arho != brho || !equalU32(ac, bc) {
 		t.Fatal("k-core differs on compressed")
 	}

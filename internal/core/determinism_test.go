@@ -45,7 +45,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		var r result
 		r.bfs = BFS(parallel.Default, g, 0)
 		r.wbfs = WeightedBFS(parallel.Default, wg, 0)
-		r.coreness, _ = KCore(parallel.Default, g, 0)
+		r.coreness, _ = KCore(parallel.Default, g)
 		r.colors = Coloring(parallel.Default, g, 3)
 		r.mis = MIS(parallel.Default, g, 3)
 		_, r.msfW = MSF(parallel.Default, wg)

@@ -19,17 +19,30 @@ import (
 // complexity. Returns the coreness array and ρ (the number of peeling
 // rounds, reported in Table 3).
 //
+// A round gathers the still-alive neighbors of the peeled vertices straight
+// into one key array: it counts each peeled vertex's alive neighbors from
+// its DecodeOut slice (a compressed graph decodes into per-worker buffers),
+// scans the counts into offsets, and writes the neighbors at them. Sorting
+// the keys and reducing equal runs is the histogram; each run applies one
+// DecrementCoreness. The gather's offsets and keys and the list of moved
+// vertices live in arrays reused across rounds.
+//
 // g must be symmetric.
-func KCore(s *parallel.Scheduler, g graph.Graph, seedUnused uint64) (coreness []uint32, rho int) {
+func KCore(s *parallel.Scheduler, g graph.Graph) (coreness []uint32, rho int) {
 	return kcore(s, g, true)
 }
 
 // KCoreFetchAndAdd is KCore using direct fetch-and-add counters instead of
 // the histogram — the contended baseline of the paper's Table 6 ablation
-// ("k-core (fetch-and-add)" vs "k-core (histogram)").
+// ("k-core (fetch-and-add)" vs "k-core (histogram)"). It shares KCore's
+// neighbor gather.
 func KCoreFetchAndAdd(s *parallel.Scheduler, g graph.Graph) (coreness []uint32, rho int) {
 	return kcore(s, g, false)
 }
+
+// gatherEdges is the number of edges a block of the neighbor gather aims
+// for: rounds with fewer edges run as one block, with no dispatch.
+const gatherEdges = 4096
 
 func kcore(s *parallel.Scheduler, g graph.Graph, useHistogram bool) ([]uint32, int) {
 	n := g.N()
@@ -40,13 +53,13 @@ func kcore(s *parallel.Scheduler, g graph.Graph, useHistogram bool) ([]uint32, i
 			deg[v] = uint32(g.OutDeg(uint32(v)))
 		}
 	})
-	b := bucket.New(s, n, 128, bucket.Increasing, 0, func(v uint32) uint32 {
+	b := bucket.New(s, n, bucket.Increasing, 0, func(v uint32) uint32 {
 		if finishedFlag[v] {
 			return bucket.Nil
 		}
 		return atomic.LoadUint32(&deg[v])
 	})
-	keyBits := prims.BitsFor(uint64(n))
+	keyBits := prims.BitsFor(uint64(max(n, 1) - 1)) // keys are vertex IDs < n
 	// Scratch for the fetch-and-add variant.
 	var faDelta []uint32
 	var faTouched []uint32
@@ -54,12 +67,17 @@ func kcore(s *parallel.Scheduler, g graph.Graph, useHistogram bool) ([]uint32, i
 		faDelta = make([]uint32, n)
 		faTouched = make([]uint32, n)
 	}
+	// Decode buffers, one per worker: a block takes one and puts it back.
+	bufs := make(chan []uint32, s.Workers())
+	for range cap(bufs) {
+		bufs <- nil
+	}
 	finished := 0
 	rounds := 0
-	// Scratch buffers reused across the ρ peeling rounds; per-round
-	// allocation is what made early rounds GC-bound.
-	var degs, offsets []int64
-	var removedNghs, aliveBuf []uint32
+	// Scratch reused across the ρ peeling rounds.
+	var offsets []int64
+	var keys []uint64
+	var mv movedPacker
 	for finished < n {
 		s.Poll()
 		k, ids := b.NextBucket()
@@ -68,90 +86,147 @@ func kcore(s *parallel.Scheduler, g graph.Graph, useHistogram bool) ([]uint32, i
 		}
 		rounds++
 		finished += len(ids)
+		var edges atomic.Int64
 		s.ForRange(len(ids), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				finishedFlag[ids[i]] = true
-				deg[ids[i]] = k // coreness value
+			d := 0
+			for _, v := range ids[lo:hi] {
+				finishedFlag[v] = true
+				deg[v] = k // coreness value
+				d += g.OutDeg(v)
 			}
+			edges.Add(int64(d))
 		})
-		// Gather the endpoints of removed edges that are still alive.
-		degs = growI64(degs, len(ids))
-		offsets = growI64(offsets, len(ids))
-		s.ForRange(len(ids), 0, func(lo, hi int) {
+		grain := len(ids)
+		if e := int(edges.Load()); e > gatherEdges {
+			grain = max(1, len(ids)*gatherEdges/e)
+		}
+		// Gather the alive neighbors of the peeled vertices: count, scan,
+		// then write them at their offsets.
+		offsets = grow(offsets, len(ids))
+		s.ForRange(len(ids), grain, func(lo, hi int) {
+			buf := <-bufs
 			for i := lo; i < hi; i++ {
-				degs[i] = int64(g.OutDeg(ids[i]))
+				buf = g.DecodeOut(ids[i], buf)
+				c := int64(0)
+				for _, u := range buf {
+					if !finishedFlag[u] {
+						c++
+					}
+				}
+				offsets[i] = c
 			}
+			bufs <- buf
 		})
-		total := prims.Scan(s, degs[:len(ids)], offsets[:len(ids)])
-		removedNghs = growU32(removedNghs, int(total))
-		s.For(len(ids), 16, func(i int) {
-			o := offsets[i]
-			g.OutNgh(ids[i], func(u uint32, _ int32) bool {
-				removedNghs[o] = u
-				o++
-				return true
-			})
+		total := prims.Scan(s, offsets, offsets)
+		keys = grow(keys, int(total))
+		s.ForRange(len(ids), grain, func(lo, hi int) {
+			buf := <-bufs
+			for i := lo; i < hi; i++ {
+				buf = g.DecodeOut(ids[i], buf)
+				o := offsets[i]
+				for _, u := range buf {
+					if !finishedFlag[u] {
+						keys[o] = uint64(u)
+						o++
+					}
+				}
+			}
+			bufs <- buf
 		})
-		aliveBuf = growU32(aliveBuf, int(total))
-		nAlive := prims.FilterInto(s, removedNghs[:total], aliveBuf, func(u uint32) bool { return !finishedFlag[u] })
-		alive := aliveBuf[:nAlive]
-		// The decrement is side-effecting and must run exactly once per
-		// distinct neighbor, so compute moved-flags in a single pass and
-		// pack afterwards (Filter/MapFilter predicates run twice).
 		var moved []uint32
 		if useHistogram {
-			// Work-efficient histogram: one counter touch per distinct
-			// neighbor, no contention (§5).
-			nghIDs, counts := prims.Histogram(s, alive, keyBits)
-			movedFlag := make([]bool, len(nghIDs))
-			s.ForRange(len(nghIDs), 512, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					movedFlag[i] = decrementCoreness(deg, nghIDs[i], counts[i], k)
+			// Work-efficient histogram: sort the keys and reduce each run
+			// of equal keys into one counter touch, with no contention
+			// (§5). A block handles the runs that start in it.
+			prims.RadixSortU64(s, keys, keyBits)
+			moved = mv.pack(s, len(keys), func(lo, hi int, out []uint32) int {
+				m := 0
+				i := lo
+				for i > 0 && i < hi && keys[i] == keys[lo-1] {
+					i++ // the run continues from the previous block
 				}
+				for i < hi {
+					j := i + 1
+					for j < len(keys) && keys[j] == keys[i] {
+						j++
+					}
+					if u := uint32(keys[i]); decrementCoreness(deg, u, uint32(j-i), k) {
+						out[m] = u
+						m++
+					}
+					i = j
+				}
+				return m
 			})
-			moved = prims.MapFilter(s, len(nghIDs),
-				func(i int) bool { return movedFlag[i] },
-				func(i int) uint32 { return nghIDs[i] })
 		} else {
 			// Contended baseline: fetch-and-add a per-vertex counter.
 			var cnt atomic.Int64
-			s.ForRange(len(alive), 2048, func(lo, hi int) {
+			s.ForRange(len(keys), 2048, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					u := alive[i]
+					u := uint32(keys[i])
 					if atomics.FetchAndAdd32(&faDelta[u], 1) == 0 {
 						faTouched[cnt.Add(1)-1] = u
 					}
 				}
 			})
 			touched := faTouched[:cnt.Load()]
-			movedFlag := make([]bool, len(touched))
-			s.ForRange(len(touched), 512, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					u := touched[i]
+			moved = mv.pack(s, len(touched), func(lo, hi int, out []uint32) int {
+				m := 0
+				for _, u := range touched[lo:hi] {
 					d := faDelta[u]
 					faDelta[u] = 0
-					movedFlag[i] = decrementCoreness(deg, u, d, k)
+					if decrementCoreness(deg, u, d, k) {
+						out[m] = u
+						m++
+					}
 				}
+				return m
 			})
-			moved = prims.MapFilter(s, len(touched),
-				func(i int) bool { return movedFlag[i] },
-				func(i int) uint32 { return touched[i] })
 		}
 		b.Update(moved)
 	}
 	return deg, rounds
 }
 
-func growI64(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
+// movedPacker collects the vertices whose bucket changed in a peeling
+// round. Applying a decrement has a side effect, so it must run exactly
+// once per vertex: each block writes its moved vertices into its own region
+// of a scratch array, and a second pass packs the regions in block order.
+// The arrays are reused across rounds.
+type movedPacker struct {
+	region, moved []uint32
+	counts        []int
 }
 
-func growU32(buf []uint32, n int) []uint32 {
+// pack runs apply over the blocks of [0, n); apply writes the moved
+// vertices of [lo, hi) into out, which has room for hi-lo, and returns how
+// many it wrote. pack returns the moved vertices of all blocks, valid until
+// the next call.
+func (p *movedPacker) pack(s *parallel.Scheduler, n int, apply func(lo, hi int, out []uint32) int) []uint32 {
+	bounds := s.Blocks(n, 0)
+	nb := len(bounds) - 1
+	p.region = grow(p.region, n)
+	p.counts = grow(p.counts, nb)
+	s.ForBlocks(bounds, func(blk, lo, hi int) {
+		p.counts[blk] = apply(lo, hi, p.region[lo:hi])
+	})
+	total := prims.Scan(s, p.counts, p.counts)
+	p.moved = grow(p.moved, total)
+	s.ForBlocks(bounds, func(blk, lo, hi int) {
+		end := total
+		if blk+1 < nb {
+			end = p.counts[blk+1]
+		}
+		copy(p.moved[p.counts[blk]:end], p.region[lo:])
+	})
+	return p.moved
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short; the contents are not preserved.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]uint32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -11,7 +11,7 @@ import (
 func TestKCoreMatchesMatulaBeck(t *testing.T) {
 	for name, g := range symGraphs() {
 		want := seqref.Coreness(g)
-		got, rho := KCore(parallel.Default, g, 0)
+		got, rho := KCore(parallel.Default, g)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: coreness[%d] = %d want %d", name, v, got[v], want[v])
@@ -26,7 +26,7 @@ func TestKCoreMatchesMatulaBeck(t *testing.T) {
 func TestKCoreFetchAndAddAgrees(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus", "complete"} {
 		g := symGraphs()[name]
-		a, rhoA := KCore(parallel.Default, g, 0)
+		a, rhoA := KCore(parallel.Default, g)
 		b, rhoB := KCoreFetchAndAdd(parallel.Default, g)
 		if rhoA != rhoB {
 			t.Fatalf("%s: rho differs: %d vs %d", name, rhoA, rhoB)
@@ -42,7 +42,7 @@ func TestKCoreFetchAndAddAgrees(t *testing.T) {
 func TestKCoreKnownValues(t *testing.T) {
 	// Complete graph on k vertices: all corenesses k-1, one peeling round.
 	g := symGraphs()["complete"]
-	core, rho := KCore(parallel.Default, g, 0)
+	core, rho := KCore(parallel.Default, g)
 	for v, c := range core {
 		if c != uint32(g.N()-1) {
 			t.Fatalf("K%d coreness[%d] = %d", g.N(), v, c)
@@ -57,7 +57,7 @@ func TestKCoreKnownValues(t *testing.T) {
 	// Torus: 6-regular, all coreness 6, one round (the paper notes 3D-Torus
 	// peels in a single round).
 	tg := symGraphs()["torus"]
-	tcore, trho := KCore(parallel.Default, tg, 0)
+	tcore, trho := KCore(parallel.Default, tg)
 	for v, c := range tcore {
 		if c != 6 {
 			t.Fatalf("torus coreness[%d] = %d want 6", v, c)

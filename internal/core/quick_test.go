@@ -64,7 +64,7 @@ func TestQuickKCoreAgainstOracle(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, false)
 		want := seqref.Coreness(g)
-		got, _ := KCore(parallel.Default, g, 0)
+		got, _ := KCore(parallel.Default, g)
 		for v := range want {
 			if got[v] != want[v] {
 				return false

@@ -67,7 +67,7 @@ func ApproxSetCover(s *parallel.Scheduler, g graph.Graph, eps float64, seed uint
 	}
 	covered := make([]uint32, n)
 	owner := newFilled64(s, n)
-	b := bucket.New(s, n, 128, bucket.Decreasing, bucketOf(maxDeg), func(s uint32) uint32 {
+	b := bucket.New(s, n, bucket.Decreasing, bucketOf(maxDeg), func(s uint32) uint32 {
 		return bucketOf(int(deg[s]))
 	})
 	var cover []uint32

@@ -37,7 +37,7 @@ func weightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32, opt ligra.Opt
 	dist[src] = 0
 	// Bucket i holds vertices with current tentative distance i; unreached
 	// vertices (Inf = bucket.Nil) are not filed.
-	b := bucket.New(s, n, 128, bucket.Increasing, 0, func(v uint32) uint32 {
+	b := bucket.New(s, n, bucket.Increasing, 0, func(v uint32) uint32 {
 		return atomics.Load32(&dist[v])
 	})
 	update := func(s, d uint32, w int32) bool {

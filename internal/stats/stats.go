@@ -72,7 +72,7 @@ func ComputeSym(s *parallel.Scheduler, name string, g graph.Graph, opt Options) 
 	}
 	st.MatchingSize = len(core.MaximalMatching(s, g, opt.Seed))
 	st.SetCoverSize = len(core.ApproxSetCover(s, g, 0.01, opt.Seed))
-	coreness, rho := core.KCore(s, g, opt.Seed)
+	coreness, rho := core.KCore(s, g)
 	st.KMax = core.Degeneracy(s, coreness)
 	st.Rho = rho
 	return st
