@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/core -fuzz '^FuzzTriangleCount$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/core -fuzz '^FuzzKCore$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/graph -fuzz '^FuzzFromEdgeList$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 # Verify the engine-scoped build pipeline: vet plus race-mode tests of the
 # graph-construction packages and the public Build API (covers the

@@ -43,7 +43,12 @@ func Torus3D(s *parallel.Scheduler, side int) *graph.EdgeList {
 // RMAT returns m = n*edgeFactor directed edges over n = 2^scale vertices
 // drawn from the R-MAT distribution with the standard (0.57, 0.19, 0.19,
 // 0.05) quadrant probabilities, which produces the skewed power-law degree
-// distributions of social networks and web graphs.
+// distributions of social networks and web graphs. Level l of edge i draws
+// r = xrand.Float64(seed, i*scale+l) and picks the quadrant by comparing r
+// with the cumulative probabilities: the u bit is [r ≥ a+b] and the v bit
+// is [r ≥ a] ⊕ [r ≥ a+b] ⊕ [r ≥ a+b+c]. The comparisons compile to flag
+// sets rather than branches, which matters because a quadrant switch
+// mispredicts on about half of the m·scale draws.
 func RMAT(s *parallel.Scheduler, scale, edgeFactor int, seed uint64) *graph.EdgeList {
 	n := 1 << uint(scale)
 	m := n * edgeFactor
@@ -56,23 +61,24 @@ func RMAT(s *parallel.Scheduler, scale, edgeFactor int, seed uint64) *graph.Edge
 			var u, v uint32
 			for l := 0; l < scale; l++ {
 				r := xrand.Float64(seed, uint64(i)*uint64(scale)+uint64(l))
-				switch {
-				case r < a:
-					// upper-left quadrant: both bits 0
-				case r < a+b:
-					v |= 1 << uint(l)
-				case r < a+b+c:
-					u |= 1 << uint(l)
-				default:
-					u |= 1 << uint(l)
-					v |= 1 << uint(l)
-				}
+				ub := atLeast(r, a+b)
+				u |= ub << uint(l)
+				v |= (atLeast(r, a) ^ ub ^ atLeast(r, a+b+c)) << uint(l)
 			}
 			el.U[i] = u
 			el.V[i] = v
 		}
 	})
 	return el
+}
+
+// atLeast returns [r ≥ t] as 0 or 1; the compiler lowers it to a SETcc.
+func atLeast(r, t float64) uint32 {
+	var x uint32
+	if r >= t {
+		x = 1
+	}
+	return x
 }
 
 // ErdosRenyi returns m uniformly random directed edges over n vertices

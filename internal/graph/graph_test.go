@@ -67,20 +67,29 @@ func TestFromEdgeListDedupAndSelfLoops(t *testing.T) {
 }
 
 func TestWeightedDedupKeepsMinWeight(t *testing.T) {
-	el := &EdgeList{
-		N: 2,
-		U: []uint32{0, 0, 0},
-		V: []uint32{1, 1, 1},
-		W: []int32{7, 3, 5},
+	cases := []struct {
+		name string
+		w    []int32
+		want int32
+	}{
+		{"positive", []int32{7, 3, 5}, 3},
+		// Weights compare as int32: a negative copy is the lightest.
+		{"negative", []int32{3, -5}, -5},
 	}
-	g := FromEdgeList(parallel.Default, 2, el, BuildOptions{})
-	if g.M() != 1 {
-		t.Fatalf("M=%d", g.M())
-	}
-	var got int32
-	g.OutNgh(0, func(u uint32, w int32) bool { got = w; return true })
-	if got != 3 {
-		t.Fatalf("weight = %d want min 3", got)
+	for _, c := range cases {
+		el := NewEdgeList(2, len(c.w), true)
+		for _, w := range c.w {
+			el.Add(0, 1, w)
+		}
+		g := FromEdgeList(parallel.Default, 2, el, BuildOptions{})
+		if g.M() != 1 {
+			t.Fatalf("%s: M=%d", c.name, g.M())
+		}
+		var got int32
+		g.OutNgh(0, func(u uint32, w int32) bool { got = w; return true })
+		if got != c.want {
+			t.Fatalf("%s: weight = %d want min %d", c.name, got, c.want)
+		}
 	}
 }
 

@@ -186,47 +186,6 @@ func TestRadixSortU64PartialBitsIsStable(t *testing.T) {
 	}
 }
 
-func TestRadixSortU32(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := make([]uint32, 30000)
-	for i := range a {
-		a[i] = rng.Uint32()
-	}
-	want := slices.Clone(a)
-	slices.Sort(want)
-	RadixSortU32(parallel.Default, a, 32)
-	if !slices.Equal(a, want) {
-		t.Fatal("RadixSortU32 mismatch")
-	}
-}
-
-func TestRadixSortPairsCarriesPayload(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 50000
-	keys := make([]uint64, n)
-	vals := make([]uint32, n)
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(1000))
-		vals[i] = uint32(i)
-	}
-	orig := slices.Clone(keys)
-	RadixSortPairs(parallel.Default, keys, vals, BitsFor(1000))
-	if !IsSortedU64(keys) {
-		t.Fatal("keys not sorted")
-	}
-	for i := range keys {
-		if orig[vals[i]] != keys[i] {
-			t.Fatalf("payload broken at %d", i)
-		}
-	}
-	// Stability: equal keys keep increasing payload order.
-	for i := 1; i < n; i++ {
-		if keys[i-1] == keys[i] && vals[i-1] >= vals[i] {
-			t.Fatalf("unstable at %d", i)
-		}
-	}
-}
-
 func TestRadixSortQuickProperty(t *testing.T) {
 	err := quick.Check(func(a []uint64) bool {
 		want := slices.Clone(a)

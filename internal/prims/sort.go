@@ -117,103 +117,10 @@ func radixPassU64(s *parallel.Scheduler, src, dst []uint64, shift uint) {
 	})
 }
 
-// RadixSortU32 sorts a in place by its low bitsWanted bits.
-func RadixSortU32(s *parallel.Scheduler, a []uint32, bitsWanted int) {
-	n := len(a)
-	if n <= 1 {
-		return
-	}
-	if bitsWanted <= 0 || bitsWanted > 32 {
-		bitsWanted = 32
-	}
-	wide := make([]uint64, n)
-	s.ForRange(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			wide[i] = uint64(a[i])
-		}
-	})
-	RadixSortU64(s, wide, bitsWanted)
-	s.ForRange(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a[i] = uint32(wide[i])
-		}
-	})
-}
-
-// RadixSortPairs sorts keys (by low bitsWanted bits) and applies the same
-// permutation to vals. Stable.
-func RadixSortPairs(s *parallel.Scheduler, keys []uint64, vals []uint32, bitsWanted int) {
-	n := len(keys)
-	if n != len(vals) {
-		panic("prims: RadixSortPairs length mismatch")
-	}
-	if n <= 1 {
-		return
-	}
-	if bitsWanted <= 0 || bitsWanted > 64 {
-		bitsWanted = 64
-	}
-	passes := (bitsWanted + radixBits - 1) / radixBits
-	kbuf := make([]uint64, n)
-	vbuf := make([]uint32, n)
-	ks, kd := keys, kbuf
-	vs, vd := vals, vbuf
-	for p := 0; p < passes; p++ {
-		radixPassPairs(s, ks, kd, vs, vd, uint(p*radixBits))
-		ks, kd = kd, ks
-		vs, vd = vd, vs
-	}
-	if passes%2 == 1 {
-		copy(keys, kbuf)
-		copy(vals, vbuf)
-	}
-}
-
-func radixPassPairs(s *parallel.Scheduler, ksrc, kdst []uint64, vsrc, vdst []uint32, shift uint) {
-	n := len(ksrc)
-	bounds := s.Blocks(n, 4096)
-	nb := len(bounds) - 1
-	counts := make([]int, nb*radixBuckets)
-	s.ForBlocks(bounds, func(b, lo, hi int) {
-		c := counts[b*radixBuckets : (b+1)*radixBuckets]
-		for i := lo; i < hi; i++ {
-			c[(ksrc[i]>>shift)&(radixBuckets-1)]++
-		}
-	})
-	total := 0
-	for r := 0; r < radixBuckets; r++ {
-		for b := 0; b < nb; b++ {
-			c := counts[b*radixBuckets+r]
-			counts[b*radixBuckets+r] = total
-			total += c
-		}
-	}
-	s.ForBlocks(bounds, func(b, lo, hi int) {
-		c := counts[b*radixBuckets : (b+1)*radixBuckets]
-		for i := lo; i < hi; i++ {
-			r := (ksrc[i] >> shift) & (radixBuckets - 1)
-			o := c[r]
-			kdst[o] = ksrc[i]
-			vdst[o] = vsrc[i]
-			c[r]++
-		}
-	})
-}
-
 // BitsFor returns the number of bits needed to represent values in [0, n].
 func BitsFor(n uint64) int {
 	if n == 0 {
 		return 1
 	}
 	return bits.Len64(n)
-}
-
-// IsSortedU64 reports whether a is non-decreasing.
-func IsSortedU64(a []uint64) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i-1] > a[i] {
-			return false
-		}
-	}
-	return true
 }
